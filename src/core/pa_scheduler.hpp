@@ -55,9 +55,8 @@ Schedule SchedulePaWarm(const pa::PaContext& ctx, pa::PaScratch& scratch,
 void RunPaCore(const pa::PaContext& ctx, pa::PaScratch& scratch,
                const ResourceVec& avail_cap, Rng& rng, Schedule& out);
 
-/// Convenience wrapper that rebuilds the context and scratch per call —
-/// the pre-PR-4 entry point, kept for one-shot callers and as the
-/// "rebuild everything" baseline in bench/micro_restart.
+/// Convenience wrapper that rebuilds the context and scratch per call, for
+/// one-shot callers.
 Schedule RunPaCore(const Instance& instance, const PaOptions& options,
                    const ResourceVec& avail_cap, Rng& rng);
 

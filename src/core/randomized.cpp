@@ -73,8 +73,7 @@ PaRResult SchedulePaR(const Instance& instance, const PaROptions& options,
   auto worker = [&]() {
     // Steady-state reuse: one scratch and one candidate per worker, both
     // recycled across every restart this worker executes.
-    std::optional<pa::PaScratch> scratch;
-    if (options.reuse_scratch) scratch.emplace(ctx);
+    pa::PaScratch scratch(ctx);
     Schedule candidate;
 
     for (;;) {
@@ -93,11 +92,7 @@ PaRResult SchedulePaR(const Instance& instance, const PaROptions& options,
       const double factor = rng.UniformDouble(options.capacity_factor_lo,
                                               options.capacity_factor_hi);
       const ResourceVec avail_cap = full_cap.ScaledDown(factor);
-      if (options.reuse_scratch) {
-        RunPaCore(ctx, *scratch, avail_cap, rng, candidate);
-      } else {
-        candidate = RunPaCore(instance, inner, avail_cap, rng);
-      }
+      RunPaCore(ctx, scratch, avail_cap, rng, candidate);
       const std::size_t done_now = completed.fetch_add(1) + 1;
 
       // Fast path: not an improvement, skip the floorplanner entirely.

@@ -62,12 +62,6 @@ struct PaROptions {
   /// Record (elapsed seconds, best makespan) improvement points (Fig. 6).
   bool record_trace = false;
 
-  /// Reuse one PaScratch per worker across restarts (the PR-4 hot path).
-  /// `false` rebuilds the full per-iteration state every restart — the
-  /// pre-PR-4 behaviour, kept as the baseline leg of bench/micro_restart.
-  /// Results are bit-identical either way.
-  bool reuse_scratch = true;
-
   /// Optional cooperative cancellation (reschedd per-request deadlines):
   /// polled once per restart ticket by every worker and during the
   /// deterministic warm start. When it fires, the workers drain and

@@ -2,9 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
-#include <cstdlib>
-#include <deque>
+#include <compare>
 #include <queue>
 
 #include "sched/comm.hpp"
@@ -14,21 +12,6 @@ namespace resched::sim {
 
 namespace {
 
-/// Node ids in the event graph: tasks are [0, n), reconfigurations are
-/// [n, n + m).
-struct EventGraph {
-  std::vector<std::vector<std::size_t>> succs;
-  std::vector<std::size_t> indegree;
-
-  explicit EventGraph(std::size_t nodes)
-      : succs(nodes), indegree(nodes, 0) {}
-
-  void AddEdge(std::size_t from, std::size_t to) {
-    succs[from].push_back(to);
-    ++indegree[to];
-  }
-};
-
 TimeT Jittered(TimeT nominal, double jitter, Rng& rng) {
   if (jitter <= 0.0) return nominal;
   const double factor = rng.UniformDouble(1.0 - jitter, 1.0 + jitter);
@@ -37,247 +20,43 @@ TimeT Jittered(TimeT nominal, double jitter, Rng& rng) {
                                          factor)));
 }
 
-/// Nominal-time replay: the original static event-graph relaxation. Kept
-/// as its own path so empty-scenario results stay bit-identical to the
-/// pre-fault executor.
-SimResult SimulateNominal(const Instance& instance, const Schedule& schedule,
-                          const SimOptions& options) {
-  const TaskGraph& graph = instance.graph;
-  const std::size_t n = graph.NumTasks();
-  const std::size_t m = schedule.reconfigurations.size();
-  RESCHED_CHECK_MSG(schedule.task_slots.size() == n,
-                    "schedule does not match instance");
-
-  Rng rng(options.seed);
-
-  // ---- jittered durations (drawn in a fixed order for determinism).
-  std::vector<TimeT> task_dur(n);
-  for (std::size_t t = 0; t < n; ++t) {
-    const TaskSlot& slot = schedule.task_slots[t];
-    const TimeT nominal =
-        graph.GetImpl(slot.task, slot.impl_index).exec_time;
-    task_dur[t] = Jittered(nominal, options.task_jitter, rng);
-  }
-  std::vector<TimeT> reconf_dur(m);
-  for (std::size_t r = 0; r < m; ++r) {
-    const ReconfSlot& slot = schedule.reconfigurations[r];
-    RESCHED_CHECK_MSG(slot.region < schedule.regions.size(),
-                      "reconfiguration references unknown region");
-    reconf_dur[r] = Jittered(schedule.regions[slot.region].reconf_time,
-                             options.reconf_jitter, rng);
-  }
-
-  // ---- event graph.
-  EventGraph events(n + m);
-
-  // Data dependencies (comm gaps are applied at relaxation time).
-  for (std::size_t t = 0; t < n; ++t) {
-    for (const TaskId s : graph.Successors(static_cast<TaskId>(t))) {
-      events.AddEdge(t, static_cast<std::size_t>(s));
-    }
-  }
-
-  // Per-core ordering (by scheduled start).
-  for (std::size_t core = 0; core < instance.platform.NumProcessors();
-       ++core) {
-    std::vector<std::size_t> on_core;
-    for (std::size_t t = 0; t < n; ++t) {
-      const TaskSlot& slot = schedule.task_slots[t];
-      if (!slot.OnFpga() && slot.target_index == core) on_core.push_back(t);
-    }
-    std::sort(on_core.begin(), on_core.end(), [&](std::size_t a,
-                                                  std::size_t b) {
-      return schedule.task_slots[a].start < schedule.task_slots[b].start;
-    });
-    for (std::size_t i = 0; i + 1 < on_core.size(); ++i) {
-      events.AddEdge(on_core[i], on_core[i + 1]);
-    }
-  }
-
-  // Per-region ordering and reconfiguration hooks.
-  // reconf_of_task[t] = reconf index that loads t, or SIZE_MAX.
-  std::vector<std::size_t> reconf_of_task(n, SIZE_MAX);
-  for (std::size_t r = 0; r < m; ++r) {
-    const ReconfSlot& slot = schedule.reconfigurations[r];
-    const auto ti = static_cast<std::size_t>(slot.loads_task);
-    RESCHED_CHECK_MSG(ti < n, "reconfiguration loads unknown task");
-    RESCHED_CHECK_MSG(reconf_of_task[ti] == SIZE_MAX,
-                      "task loaded by two reconfigurations");
-    reconf_of_task[ti] = r;
-  }
-  for (std::size_t s = 0; s < schedule.regions.size(); ++s) {
-    const RegionInfo& region = schedule.regions[s];
-    for (std::size_t i = 0; i < region.tasks.size(); ++i) {
-      const auto ti = static_cast<std::size_t>(region.tasks[i]);
-      RESCHED_CHECK_MSG(schedule.task_slots[ti].OnFpga() &&
-                            schedule.task_slots[ti].target_index == s,
-                        "region task list inconsistent with slots");
-      const std::size_t reconf = reconf_of_task[ti];
-      if (reconf != SIZE_MAX) {
-        RESCHED_CHECK_MSG(schedule.reconfigurations[reconf].region == s,
-                          "reconfiguration region mismatch");
-        // reconf -> task it loads.
-        events.AddEdge(n + reconf, ti);
-        if (i > 0) {
-          // previous region task -> reconf.
-          events.AddEdge(static_cast<std::size_t>(region.tasks[i - 1]),
-                         n + reconf);
-        }
-      } else if (i > 0) {
-        // Module reuse (or first task): direct region ordering.
-        events.AddEdge(static_cast<std::size_t>(region.tasks[i - 1]), ti);
-      }
-    }
-  }
-
-  // Per-controller ordering of reconfigurations (by scheduled start).
-  for (std::size_t c = 0; c < instance.platform.NumReconfigurators(); ++c) {
-    std::vector<std::size_t> on_controller;
-    for (std::size_t r = 0; r < m; ++r) {
-      if (schedule.reconfigurations[r].controller == c) {
-        on_controller.push_back(r);
-      }
-    }
-    std::sort(on_controller.begin(), on_controller.end(),
-              [&](std::size_t a, std::size_t b) {
-                return schedule.reconfigurations[a].start <
-                       schedule.reconfigurations[b].start;
-              });
-    for (std::size_t i = 0; i + 1 < on_controller.size(); ++i) {
-      events.AddEdge(n + on_controller[i], n + on_controller[i + 1]);
-    }
-  }
-
-  // ---- earliest-start relaxation in topological order.
-  std::vector<TimeT> start(n + m, 0);
-  std::vector<TimeT> end(n + m, 0);
-  std::deque<std::size_t> ready;
-  std::vector<std::size_t> indegree = events.indegree;
-  for (std::size_t v = 0; v < n + m; ++v) {
-    if (indegree[v] == 0) ready.push_back(v);
-  }
-  std::size_t processed = 0;
-  while (!ready.empty()) {
-    const std::size_t v = ready.front();
-    ready.pop_front();
-    ++processed;
-    const TimeT dur = v < n ? task_dur[v] : reconf_dur[v - n];
-    end[v] = start[v] + dur;
-    for (const std::size_t w : events.succs[v]) {
-      // Communication gap applies only on task->task data edges.
-      TimeT gap = 0;
-      if (v < n && w < n &&
-          graph.HasEdge(static_cast<TaskId>(v), static_cast<TaskId>(w))) {
-        gap = CommGap(instance.platform, graph, static_cast<TaskId>(v),
-                      static_cast<TaskId>(w),
-                      schedule.task_slots[v].OnFpga(),
-                      schedule.task_slots[w].OnFpga());
-      }
-      start[w] = std::max(start[w], end[v] + gap);
-      if (--indegree[w] == 0) ready.push_back(w);
-    }
-  }
-  RESCHED_CHECK_MSG(processed == n + m,
-                    "schedule decision structure contains a cycle");
-
-  // ---- results.
-  SimResult result;
-  result.task_start.assign(n, 0);
-  result.task_end.assign(n, 0);
-  for (std::size_t t = 0; t < n; ++t) {
-    result.task_start[t] = start[t];
-    result.task_end[t] = end[t];
-    result.makespan = std::max(result.makespan, end[t]);
-  }
-  result.stretch = schedule.makespan > 0
-                       ? static_cast<double>(result.makespan) /
-                             static_cast<double>(schedule.makespan)
-                       : 0.0;
-
-  // Utilization per core / region / controller.
-  for (std::size_t core = 0; core < instance.platform.NumProcessors();
-       ++core) {
-    ResourceUsage usage;
-    usage.name = StrFormat("cpu%zu", core);
-    for (std::size_t t = 0; t < n; ++t) {
-      const TaskSlot& slot = schedule.task_slots[t];
-      if (!slot.OnFpga() && slot.target_index == core) {
-        usage.busy += task_dur[t];
-      }
-    }
-    result.usage.push_back(usage);
-  }
-  for (std::size_t s = 0; s < schedule.regions.size(); ++s) {
-    ResourceUsage usage;
-    usage.name = StrFormat("rr%zu", s);
-    for (const TaskId t : schedule.regions[s].tasks) {
-      usage.busy += task_dur[static_cast<std::size_t>(t)];
-    }
-    result.usage.push_back(usage);
-  }
-  for (std::size_t c = 0; c < instance.platform.NumReconfigurators(); ++c) {
-    ResourceUsage usage;
-    usage.name = StrFormat("icap%zu", c);
-    for (std::size_t r = 0; r < m; ++r) {
-      if (schedule.reconfigurations[r].controller == c) {
-        usage.busy += reconf_dur[r];
-      }
-    }
-    result.usage.push_back(usage);
-  }
-  for (ResourceUsage& usage : result.usage) {
-    usage.utilization = result.makespan > 0
-                            ? static_cast<double>(usage.busy) /
-                                  static_cast<double>(result.makespan)
-                            : 0.0;
-  }
-
-  // As-executed schedule: same decisions, simulated times.
-  result.executed.task_slots = schedule.task_slots;
-  for (std::size_t t = 0; t < n; ++t) {
-    result.executed.task_slots[t].start = start[t];
-    result.executed.task_slots[t].end = end[t];
-  }
-  result.executed.regions = schedule.regions;
-  result.executed.reconfigurations = schedule.reconfigurations;
-  for (std::size_t r = 0; r < m; ++r) {
-    result.executed.reconfigurations[r].start = start[n + r];
-    result.executed.reconfigurations[r].end = end[n + r];
-  }
-  std::stable_sort(result.executed.reconfigurations.begin(),
-                   result.executed.reconfigurations.end(),
-                   [](const ReconfSlot& a, const ReconfSlot& b) {
-                     return a.start < b.start;
-                   });
-  result.executed.makespan = result.makespan;
-  result.executed.algorithm = schedule.algorithm;
-  result.executed.floorplan = schedule.floorplan;
-  result.executed.floorplan_checked = schedule.floorplan_checked;
-  return result;
-}
-
 // ===================================================================
-// Faulted replay: a discrete-event engine over the schedule's decisions.
+// The replay engine: a discrete-event simulation over the schedule's
+// decisions.
 //
-// Every waiting line (core queues, region entry lists, controller job
-// queues) is processed strictly in order of a single global priority —
-// the task's start time in the static schedule (ties by id). Dependency
-// edges strictly increase that priority (the schedule is valid and
-// durations are positive), and recovery insertions keep every pending
-// queue sorted by it, so the globally minimal-priority pending task is
-// always at the head of its queue with its reconfiguration at the head
-// of its controller: the engine can never deadlock, only wait for time
-// (backoff, repair windows), which Wake events bound.
+// Every task and reconfiguration job carries a dispatch key, and every
+// waiting line (core queues, region entry lists, controller job queues)
+// serves its pending items strictly in key order. A task's key is its
+// planned start; a planned reconfiguration's key is its own planned
+// start. With no faults every resource therefore replays exactly the
+// plan's sequence, and every operation starts at the maximum of its
+// plan-order predecessors' ends.
+//
+// Every wait edge strictly increases the key: a task waits on its data
+// predecessors, on lower-keyed entries of its core or region and on its
+// own reconfiguration (keyed below it); a job waits on the region entry
+// before it (keyed below it) and on lower-keyed jobs of its controller.
+// So the globally minimal pending item waits only for time (backoff,
+// repair windows, which Wake events bound) or for operations already
+// running: the engine cannot stall. Recovery keeps that invariant. A
+// migrated task keeps its planned start, a job created by recovery is
+// keyed just before the task it loads, pending region entries stay
+// key-sorted, and RepairRegion re-keys any pending job that is not above
+// the entry before it to just after that entry.
 // ===================================================================
 
-/// Global dispatch priority: static scheduled start, ties by task id.
-struct Prio {
-  TimeT start = 0;
-  TaskId id = kInvalidTask;
-  friend bool operator<(const Prio& a, const Prio& b) {
-    return a.start != b.start ? a.start < b.start : a.id < b.id;
-  }
+/// Dispatch key, ordered by time, then task id, then phase.
+struct Key {
+  TimeT at = 0;
+  TaskId task = kInvalidTask;
+  /// kTask for a task; a job is keyed kBefore the task it loads, or
+  /// kAfter the region entry it was re-keyed behind.
+  std::uint8_t phase = 0;
+  friend auto operator<=>(const Key&, const Key&) = default;
 };
+constexpr std::uint8_t kBefore = 0;
+constexpr std::uint8_t kTask = 1;
+constexpr std::uint8_t kAfter = 2;
 
 enum class EvKind : std::uint8_t {
   // Completions strictly before fault onsets at equal times: slots are
@@ -319,6 +98,7 @@ struct DesJob {
   JobState state = JobState::kPending;
   TimeT start = 0, end = 0;     ///< last attempt
   std::uint64_t epoch = 0;      ///< bumped on interruption/cancellation
+  Key key;                      ///< dispatch key on its controller
 };
 
 struct DesTask {
@@ -332,7 +112,6 @@ struct DesTask {
   bool running = false;
   TimeT start = 0, end = 0;  ///< last attempt
   std::uint64_t epoch = 0;
-  Prio prio;
 };
 
 struct DesEntry {
@@ -341,7 +120,7 @@ struct DesEntry {
 };
 
 struct DesRegion {
-  std::vector<DesEntry> entries;  ///< done prefix, then pending by prio
+  std::vector<DesEntry> entries;  ///< done prefix, then pending by key
   bool alive = true;
   TimeT offline_until = 0;
   TaskId running_task = kInvalidTask;
@@ -354,13 +133,13 @@ struct DesRegion {
 };
 
 struct DesCore {
-  std::vector<TaskId> queue;  ///< done prefix, then pending by prio
+  std::vector<TaskId> queue;  ///< served in key order
   TaskId running = kInvalidTask;
   TimeT busy_until = 0;
 };
 
 struct DesController {
-  std::vector<std::size_t> queue;  ///< job ids, sorted by task prio
+  std::vector<std::size_t> queue;  ///< job ids, served in key order
   std::size_t running = SIZE_MAX;
   TimeT busy_until = 0;
 };
@@ -372,10 +151,10 @@ struct PendingFault {
   TimeT window = 0;
 };
 
-class FaultedSim {
+class ReplaySim {
  public:
-  FaultedSim(const Instance& instance, const Schedule& schedule,
-             const SimOptions& options)
+  ReplaySim(const Instance& instance, const Schedule& schedule,
+            const SimOptions& options)
       : instance_(instance),
         graph_(instance.graph),
         schedule_(schedule),
@@ -385,8 +164,9 @@ class FaultedSim {
   SimResult Run();
 
  private:
-  Prio PrioOf(TaskId t) const {
-    return Prio{schedule_.task_slots[static_cast<std::size_t>(t)].start, t};
+  Key KeyOf(TaskId t) const {
+    return Key{schedule_.task_slots[static_cast<std::size_t>(t)].start, t,
+               kTask};
   }
   std::int32_t ModuleOf(TaskId t) const {
     return graph_.GetImpl(t, tasks_[static_cast<std::size_t>(t)].impl)
@@ -402,6 +182,10 @@ class FaultedSim {
 
   /// First entry whose task is not done, or SIZE_MAX.
   std::size_t HeadEntry(const DesRegion& region) const;
+  /// Lowest-keyed pending job of a controller / unfinished task of a
+  /// core, or SIZE_MAX / kInvalidTask.
+  std::size_t NextJob(const DesController& controller) const;
+  TaskId NextTask(const DesCore& core) const;
   void StartTask(TaskId t);
   void StartReconf(std::size_t job);
   void Dispatch();
@@ -411,14 +195,18 @@ class FaultedSim {
   void OnReconfDone(const Event& e);
   void OnFault(const PendingFault& f);
   void KillRunningTask(DesRegion& region, bool count_restart);
+  /// Stops the region's running reconfiguration (its queued ReconfDone
+  /// turns stale) and returns its job id, or SIZE_MAX.
+  std::size_t StopRunningJob(DesRegion& region);
   void InterruptRunningJob(DesRegion& region, TimeT resume_gate);
   void AbandonJob(std::size_t job);
-  void MigrateOrphans(const std::vector<TaskId>& orphans, bool forced);
+  void MigrateOrphans(const std::vector<TaskId>& orphans);
   RecoveryContext BuildContext() const;
   void ApplyDecision(const RecoveryDecision& d);
   std::size_t PickController() const;
-  void RepairReuseChain(std::size_t region_index);
-  void InsertIntoCore(TaskId t);
+  std::size_t NewJob(std::size_t region_index, TaskId t,
+                     std::size_t controller);
+  void RepairRegion(std::size_t region_index);
   void InsertEntry(std::size_t region_index, DesEntry entry);
   void AccumulateTaskBusy(TaskId t, TimeT span);
 
@@ -447,7 +235,7 @@ class FaultedSim {
   std::vector<TimeT> controller_busy_;
 };
 
-void FaultedSim::Init() {
+void ReplaySim::Init() {
   RESCHED_CHECK_MSG(schedule_.task_slots.size() == n_,
                     "schedule does not match instance");
   const std::size_t m = schedule_.reconfigurations.size();
@@ -460,7 +248,6 @@ void FaultedSim::Init() {
     st.impl = slot.impl_index;
     st.on_fpga = slot.OnFpga();
     st.target = slot.target_index;
-    st.prio = PrioOf(static_cast<TaskId>(t));
     if (options_.task_jitter > 0.0) {
       st.jfactor = rng.UniformDouble(1.0 - options_.task_jitter,
                                      1.0 + options_.task_jitter);
@@ -468,6 +255,7 @@ void FaultedSim::Init() {
   }
 
   jobs_.resize(m);
+  controllers_.resize(instance_.platform.NumReconfigurators());
   std::vector<std::size_t> reconf_of_task(n_, SIZE_MAX);
   for (std::size_t r = 0; r < m; ++r) {
     const ReconfSlot& slot = schedule_.reconfigurations[r];
@@ -487,6 +275,8 @@ void FaultedSim::Init() {
     job.controller = slot.controller;
     job.nominal = schedule_.regions[slot.region].reconf_time;
     job.dur = Jittered(job.nominal, options_.reconf_jitter, rng);
+    job.key = Key{slot.start, slot.loads_task, kBefore};
+    controllers_[job.controller].queue.push_back(r);
   }
 
   regions_.resize(schedule_.regions.size());
@@ -523,28 +313,13 @@ void FaultedSim::Init() {
                       "task assigned to unknown processor");
     cores_[slot.target_index].queue.push_back(static_cast<TaskId>(t));
   }
-  for (DesCore& core : cores_) {
-    std::sort(core.queue.begin(), core.queue.end(),
-              [&](TaskId a, TaskId b) { return PrioOf(a) < PrioOf(b); });
-  }
-
-  controllers_.resize(instance_.platform.NumReconfigurators());
-  for (std::size_t r = 0; r < m; ++r) {
-    controllers_[jobs_[r].controller].queue.push_back(r);
-  }
-  for (DesController& controller : controllers_) {
-    std::sort(controller.queue.begin(), controller.queue.end(),
-              [&](std::size_t a, std::size_t b) {
-                return PrioOf(jobs_[a].task) < PrioOf(jobs_[b].task);
-              });
-  }
 
   core_busy_.assign(cores_.size(), 0);
   region_busy_.assign(regions_.size(), 0);
   controller_busy_.assign(controllers_.size(), 0);
 }
 
-void FaultedSim::ApplyScenario() {
+void ReplaySim::ApplyScenario() {
   for (const FaultEvent& event : options_.faults.events) {
     switch (event.kind) {
       case FaultKind::kReconfFailure:
@@ -590,7 +365,7 @@ void FaultedSim::ApplyScenario() {
   }
 }
 
-TimeT FaultedSim::AttemptDuration(TaskId t) const {
+TimeT ReplaySim::AttemptDuration(TaskId t) const {
   const DesTask& st = tasks_[static_cast<std::size_t>(t)];
   const TimeT nominal = graph_.GetImpl(t, st.impl).exec_time;
   const double factor = st.jfactor * st.overrun;
@@ -600,14 +375,14 @@ TimeT FaultedSim::AttemptDuration(TaskId t) const {
              std::llround(static_cast<double>(nominal) * factor)));
 }
 
-bool FaultedSim::PredsDone(TaskId t) const {
+bool ReplaySim::PredsDone(TaskId t) const {
   for (const TaskId p : graph_.Predecessors(t)) {
     if (!tasks_[static_cast<std::size_t>(p)].done) return false;
   }
   return true;
 }
 
-TimeT FaultedSim::ReadyTime(TaskId t) const {
+TimeT ReplaySim::ReadyTime(TaskId t) const {
   TimeT ready = 0;
   const DesTask& st = tasks_[static_cast<std::size_t>(t)];
   for (const TaskId p : graph_.Predecessors(t)) {
@@ -619,7 +394,7 @@ TimeT FaultedSim::ReadyTime(TaskId t) const {
   return ready;
 }
 
-std::size_t FaultedSim::HeadEntry(const DesRegion& region) const {
+std::size_t ReplaySim::HeadEntry(const DesRegion& region) const {
   for (std::size_t i = 0; i < region.entries.size(); ++i) {
     if (!tasks_[static_cast<std::size_t>(region.entries[i].task)].done) {
       return i;
@@ -628,11 +403,33 @@ std::size_t FaultedSim::HeadEntry(const DesRegion& region) const {
   return SIZE_MAX;
 }
 
-void FaultedSim::PushWake(TimeT at) {
+std::size_t ReplaySim::NextJob(const DesController& controller) const {
+  std::size_t best = SIZE_MAX;
+  for (const std::size_t j : controller.queue) {
+    if (jobs_[j].state == JobState::kPending &&
+        (best == SIZE_MAX || jobs_[j].key < jobs_[best].key)) {
+      best = j;
+    }
+  }
+  return best;
+}
+
+TaskId ReplaySim::NextTask(const DesCore& core) const {
+  TaskId best = kInvalidTask;
+  for (const TaskId t : core.queue) {
+    if (!tasks_[static_cast<std::size_t>(t)].done &&
+        (best == kInvalidTask || KeyOf(t) < KeyOf(best))) {
+      best = t;
+    }
+  }
+  return best;
+}
+
+void ReplaySim::PushWake(TimeT at) {
   if (at > now_) heap_.push(Event{at, EvKind::kWake, 0, 0});
 }
 
-void FaultedSim::StartTask(TaskId t) {
+void ReplaySim::StartTask(TaskId t) {
   DesTask& st = TaskOf(t);
   st.running = true;
   st.start = now_;
@@ -650,7 +447,7 @@ void FaultedSim::StartTask(TaskId t) {
       Event{end, EvKind::kTaskDone, static_cast<std::size_t>(t), st.epoch});
 }
 
-void FaultedSim::StartReconf(std::size_t job_index) {
+void ReplaySim::StartReconf(std::size_t job_index) {
   DesJob& job = jobs_[job_index];
   job.state = JobState::kRunning;
   job.start = now_;
@@ -664,21 +461,15 @@ void FaultedSim::StartReconf(std::size_t job_index) {
   heap_.push(Event{end, EvKind::kReconfDone, job_index, job.epoch});
 }
 
-void FaultedSim::Dispatch() {
+void ReplaySim::Dispatch() {
   bool progress = true;
   while (progress) {
     progress = false;
 
-    // Controllers: strictly the first pending job of each queue.
+    // Controllers: strictly the lowest-keyed pending job.
     for (DesController& controller : controllers_) {
       if (controller.running != SIZE_MAX) continue;
-      std::size_t head = SIZE_MAX;
-      for (const std::size_t j : controller.queue) {
-        if (jobs_[j].state == JobState::kPending) {
-          head = j;
-          break;
-        }
-      }
+      const std::size_t head = NextJob(controller);
       if (head == SIZE_MAX) continue;
       const DesJob& job = jobs_[head];
       const DesRegion& region = regions_[job.region];
@@ -725,18 +516,11 @@ void FaultedSim::Dispatch() {
       progress = true;
     }
 
-    // Cores: strictly the first unfinished task of each queue.
+    // Cores: strictly the lowest-keyed unfinished task.
     for (DesCore& core : cores_) {
       if (core.running != kInvalidTask) continue;
-      TaskId head = kInvalidTask;
-      for (const TaskId t : core.queue) {
-        if (!TaskOf(t).done) {
-          head = t;
-          break;
-        }
-      }
-      if (head == kInvalidTask || TaskOf(head).running) continue;
-      if (!PredsDone(head)) continue;
+      const TaskId head = NextTask(core);
+      if (head == kInvalidTask || !PredsDone(head)) continue;
       const TimeT ready = ReadyTime(head);
       if (ready > now_) {
         PushWake(ready);
@@ -748,7 +532,7 @@ void FaultedSim::Dispatch() {
   }
 }
 
-void FaultedSim::AccumulateTaskBusy(TaskId t, TimeT span) {
+void ReplaySim::AccumulateTaskBusy(TaskId t, TimeT span) {
   const DesTask& st = tasks_[static_cast<std::size_t>(t)];
   if (st.on_fpga) {
     region_busy_[st.target] += span;
@@ -757,7 +541,7 @@ void FaultedSim::AccumulateTaskBusy(TaskId t, TimeT span) {
   }
 }
 
-void FaultedSim::OnTaskDone(const Event& e) {
+void ReplaySim::OnTaskDone(const Event& e) {
   const TaskId t = static_cast<TaskId>(e.id);
   DesTask& st = TaskOf(t);
   if (!st.running || e.epoch != st.epoch) return;  // stale (killed attempt)
@@ -780,7 +564,7 @@ void FaultedSim::OnTaskDone(const Event& e) {
   ++done_count_;
 }
 
-void FaultedSim::OnReconfDone(const Event& e) {
+void ReplaySim::OnReconfDone(const Event& e) {
   DesJob& job = jobs_[e.id];
   if (job.state != JobState::kRunning || e.epoch != job.epoch) return;
   DesController& controller = controllers_[job.controller];
@@ -808,7 +592,7 @@ void FaultedSim::OnReconfDone(const Event& e) {
   region.loaded_module = ModuleOf(job.task);
 }
 
-void FaultedSim::KillRunningTask(DesRegion& region, bool count_restart) {
+void ReplaySim::KillRunningTask(DesRegion& region, bool count_restart) {
   if (region.running_task == kInvalidTask) return;
   const TaskId t = region.running_task;
   DesTask& st = TaskOf(t);
@@ -819,13 +603,21 @@ void FaultedSim::KillRunningTask(DesRegion& region, bool count_restart) {
   if (count_restart) ++stats_.task_restarts;
 }
 
-void FaultedSim::InterruptRunningJob(DesRegion& region, TimeT resume_gate) {
-  if (region.running_job == SIZE_MAX) return;
-  DesJob& job = jobs_[region.running_job];
-  DesController& controller = controllers_[job.controller];
-  controller.running = SIZE_MAX;
+std::size_t ReplaySim::StopRunningJob(DesRegion& region) {
+  const std::size_t j = region.running_job;
+  if (j == SIZE_MAX) return SIZE_MAX;
+  DesJob& job = jobs_[j];
+  controllers_[job.controller].running = SIZE_MAX;
   controller_busy_[job.controller] += now_ - job.start;
   ++job.epoch;  // the queued ReconfDone is now stale
+  region.running_job = SIZE_MAX;
+  return j;
+}
+
+void ReplaySim::InterruptRunningJob(DesRegion& region, TimeT resume_gate) {
+  const std::size_t j = StopRunningJob(region);
+  if (j == SIZE_MAX) return;
+  DesJob& job = jobs_[j];
   job.state = JobState::kPending;
   // The wasted attempt does not consume the failure budget and does not
   // push the job toward abandonment — it retries once the region is back.
@@ -833,11 +625,10 @@ void FaultedSim::InterruptRunningJob(DesRegion& region, TimeT resume_gate) {
       resume_gate,
       now_ + RetryBackoff(options_.recovery, job.nominal, job.failed + 1));
   ++stats_.reconf_retries;
-  region.running_job = SIZE_MAX;
   PushWake(job.not_before);
 }
 
-void FaultedSim::OnFault(const PendingFault& f) {
+void ReplaySim::OnFault(const PendingFault& f) {
   DesRegion& region = regions_[f.region];
   if (!region.alive) return;
   if (!f.permanent) {
@@ -855,8 +646,8 @@ void FaultedSim::OnFault(const PendingFault& f) {
           break;
         }
       }
-      MigrateOrphans({killed}, /*forced=*/true);
-      RepairReuseChain(f.region);
+      MigrateOrphans({killed});
+      RepairRegion(f.region);
     } else {
       KillRunningTask(region, /*count_restart=*/true);
     }
@@ -870,17 +661,10 @@ void FaultedSim::OnFault(const PendingFault& f) {
   region.alive = false;
   ++stats_.abandoned_regions;
   KillRunningTask(region, /*count_restart=*/false);
-  if (region.running_job != SIZE_MAX) {
-    DesJob& job = jobs_[region.running_job];
-    DesController& controller = controllers_[job.controller];
-    controller.running = SIZE_MAX;
-    controller_busy_[job.controller] += now_ - job.start;
-    ++job.epoch;
-    job.state = JobState::kCancelled;
-    region.running_job = SIZE_MAX;
-  }
+  StopRunningJob(region);
   for (DesJob& job : jobs_) {
-    if (job.region == f.region && job.state == JobState::kPending) {
+    if (job.region == f.region && (job.state == JobState::kPending ||
+                                   job.state == JobState::kRunning)) {
       job.state = JobState::kCancelled;
     }
   }
@@ -894,10 +678,10 @@ void FaultedSim::OnFault(const PendingFault& f) {
     }
   }
   region.entries = std::move(keep);
-  MigrateOrphans(orphans, /*forced=*/true);
+  MigrateOrphans(orphans);
 }
 
-void FaultedSim::AbandonJob(std::size_t job_index) {
+void ReplaySim::AbandonJob(std::size_t job_index) {
   DesJob& job = jobs_[job_index];
   job.state = JobState::kCancelled;
   const std::size_t s = job.region;
@@ -909,11 +693,11 @@ void FaultedSim::AbandonJob(std::size_t job_index) {
       break;
     }
   }
-  MigrateOrphans({job.task}, /*forced=*/true);
-  RepairReuseChain(s);
+  MigrateOrphans({job.task});
+  RepairRegion(s);
 }
 
-RecoveryContext FaultedSim::BuildContext() const {
+RecoveryContext ReplaySim::BuildContext() const {
   RecoveryContext ctx;
   ctx.now = now_;
   ctx.core_load.resize(cores_.size());
@@ -966,7 +750,7 @@ RecoveryContext FaultedSim::BuildContext() const {
   return ctx;
 }
 
-std::size_t FaultedSim::PickController() const {
+std::size_t ReplaySim::PickController() const {
   std::size_t best = 0;
   std::size_t best_pending = SIZE_MAX;
   for (std::size_t c = 0; c < controllers_.size(); ++c) {
@@ -982,122 +766,106 @@ std::size_t FaultedSim::PickController() const {
   return best;
 }
 
-void FaultedSim::InsertIntoCore(TaskId t) {
-  DesCore& core = cores_[TaskOf(t).target];
-  const Prio prio = PrioOf(t);
-  auto it = core.queue.begin();
-  for (; it != core.queue.end(); ++it) {
-    if (!TaskOf(*it).done && prio < PrioOf(*it)) break;
-  }
-  core.queue.insert(it, t);
+std::size_t ReplaySim::NewJob(std::size_t region_index, TaskId t,
+                              std::size_t controller) {
+  DesJob job;
+  job.region = region_index;
+  job.task = t;
+  job.controller = controller;
+  job.nominal = schedule_.regions[region_index].reconf_time;
+  job.dur = job.nominal;
+  job.key = Key{KeyOf(t).at, t, kBefore};
+  jobs_.push_back(job);
+  controllers_[controller].queue.push_back(jobs_.size() - 1);
+  return jobs_.size() - 1;
 }
 
-void FaultedSim::InsertEntry(std::size_t region_index, DesEntry entry) {
+void ReplaySim::InsertEntry(std::size_t region_index, DesEntry entry) {
   DesRegion& region = regions_[region_index];
-  const Prio prio = PrioOf(entry.task);
+  const Key key = KeyOf(entry.task);
   auto it = region.entries.begin();
   for (; it != region.entries.end(); ++it) {
     // Never insert in front of a completed or in-flight attempt: those
     // entries are the region's immutable past (and present).
     const DesTask& st = tasks_[static_cast<std::size_t>(it->task)];
-    if (!st.done && !st.running && prio < PrioOf(it->task)) break;
+    if (!st.done && !st.running && key < KeyOf(it->task)) break;
   }
   region.entries.insert(it, entry);
 }
 
-void FaultedSim::RepairReuseChain(std::size_t region_index) {
+void ReplaySim::RepairRegion(std::size_t region_index) {
   DesRegion& region = regions_[region_index];
   if (!region.alive) return;
+  // What each pending entry will find loaded: the region's current
+  // configuration for the first unfinished entry, the previous
+  // unfinished entry's module after that. Module reuse needs a shared
+  // non-unique module id; the first unfinished entry must also share it
+  // with the last completed one, its predecessor in the as-executed
+  // schedule (a configuration loaded for a task that then left the
+  // region appears nowhere in that schedule).
   TaskId prev_task = region.loaded_task;
   std::int32_t prev_module = region.loaded_module;
-  bool past_head = false;
+  std::int32_t done_module = prev_module;
+  bool first = true;
   for (DesEntry& entry : region.entries) {
     const DesTask& st = tasks_[static_cast<std::size_t>(entry.task)];
     const std::int32_t mod = ModuleOf(entry.task);
-    if (st.done || st.running) {
-      // Completed or in-flight: the module is (being) executed from the
-      // fabric as-is — it must never be given a fresh reconfiguration.
-      prev_task = entry.task;
-      prev_module = mod;
+    if (st.done) {
+      done_module = mod;
       continue;
     }
-    const bool has_job =
-        entry.job != SIZE_MAX && jobs_[entry.job].state != JobState::kCancelled;
-    // The head entry compares against the currently loaded configuration;
-    // later entries against their predecessor in the (possibly edited)
-    // sequence. Module reuse needs a shared non-unique module id.
-    const bool reuse_ok =
-        (!past_head && prev_task == entry.task) ||
-        (prev_module >= 0 && prev_module == mod);
-    if (!has_job && !reuse_ok) {
-      DesJob job;
-      job.region = region_index;
-      job.task = entry.task;
-      job.controller = PickController();
-      job.nominal = schedule_.regions[region_index].reconf_time;
-      job.dur = job.nominal;
-      jobs_.push_back(job);
-      const std::size_t job_index = jobs_.size() - 1;
-      entry.job = job_index;
-      DesController& controller = controllers_[job.controller];
-      const Prio prio = PrioOf(entry.task);
-      auto it = controller.queue.begin();
-      for (; it != controller.queue.end(); ++it) {
-        if (jobs_[*it].state == JobState::kPending &&
-            prio < PrioOf(jobs_[*it].task)) {
-          break;
+    if (!st.running) {
+      if (entry.job != SIZE_MAX && !first &&
+          jobs_[entry.job].state != JobState::kPending) {
+        // A recovery insertion displaced an entry whose reconfiguration
+        // already ran (or is running): the inserted task's configuration
+        // overwrites it, so it must run again. The spent attempt stays in
+        // the controller's busy time.
+        if (region.running_job == entry.job) StopRunningJob(region);
+        jobs_[entry.job].state = JobState::kPending;
+      }
+      const bool reuse_ok =
+          prev_task == entry.task ||
+          (prev_module >= 0 && prev_module == mod &&
+           (!first || done_module == mod));
+      if (entry.job == SIZE_MAX && !reuse_ok) {
+        entry.job = NewJob(region_index, entry.task, PickController());
+      }
+      if (entry.job != SIZE_MAX && !first) {
+        // Keep the job keyed above the entry it waits for.
+        DesJob& job = jobs_[entry.job];
+        if (!(KeyOf(prev_task) < job.key)) {
+          job.key = Key{KeyOf(prev_task).at, prev_task, kAfter};
         }
       }
-      controller.queue.insert(it, job_index);
     }
-    past_head = true;
+    first = false;
     prev_task = entry.task;
     prev_module = mod;
   }
 }
 
-void FaultedSim::ApplyDecision(const RecoveryDecision& d) {
+void ReplaySim::ApplyDecision(const RecoveryDecision& d) {
   DesTask& st = TaskOf(d.task);
   st.impl = d.impl_index;
   st.on_fpga = d.to_region;
   st.target = d.target;
   if (!d.to_region) {
-    InsertIntoCore(d.task);
+    cores_[d.target].queue.push_back(d.task);
     return;
   }
-  DesJob job;
-  job.region = d.target;
-  job.task = d.task;
-  job.controller = d.controller;
-  job.nominal = schedule_.regions[d.target].reconf_time;
-  job.dur = job.nominal;
-  jobs_.push_back(job);
-  const std::size_t job_index = jobs_.size() - 1;
-  DesController& controller = controllers_[job.controller];
-  const Prio prio = PrioOf(d.task);
-  auto it = controller.queue.begin();
-  for (; it != controller.queue.end(); ++it) {
-    if (jobs_[*it].state == JobState::kPending &&
-        prio < PrioOf(jobs_[*it].task)) {
-      break;
-    }
-  }
-  controller.queue.insert(it, job_index);
-  DesEntry entry;
-  entry.task = d.task;
-  entry.job = job_index;
-  InsertEntry(d.target, entry);
-  RepairReuseChain(d.target);
+  InsertEntry(d.target, DesEntry{d.task, NewJob(d.target, d.task,
+                                                d.controller)});
+  RepairRegion(d.target);
 }
 
-void FaultedSim::MigrateOrphans(const std::vector<TaskId>& orphans,
-                                bool forced) {
+void ReplaySim::MigrateOrphans(const std::vector<TaskId>& orphans) {
   if (orphans.empty()) return;
-  RESCHED_CHECK_MSG(forced, "orphans only arise from forced events");
   RecoveryContext ctx = BuildContext();
   const RecoveryPolicy policy = options_.recovery.policy;
   // kRetry falls back to software only when forced — and every call site
-  // is a forced one (permanent loss, abandoned reconfiguration).
+  // is a forced one (permanent loss, abandoned reconfiguration, eager
+  // fallback).
   std::vector<RecoveryDecision> plan =
       policy == RecoveryPolicy::kSuffixReschedule
           ? PlanSuffixRepair(graph_, orphans, ctx)
@@ -1112,57 +880,11 @@ void FaultedSim::MigrateOrphans(const std::vector<TaskId>& orphans,
   }
 }
 
-SimResult FaultedSim::Finish() {
-  if (done_count_ != n_ && std::getenv("RESCHED_SIM_DEBUG")) {
-    std::fprintf(stderr, "stall at t=%lld: %zu/%zu done\n",
-                 static_cast<long long>(now_), done_count_, n_);
-    for (std::size_t t = 0; t < n_; ++t) {
-      if (tasks_[t].done) continue;
-      std::fprintf(stderr,
-                   "  task %zu: on_fpga=%d target=%zu running=%d prio=(%lld)\n",
-                   t, tasks_[t].on_fpga ? 1 : 0, tasks_[t].target,
-                   tasks_[t].running ? 1 : 0,
-                   static_cast<long long>(tasks_[t].prio.start));
-    }
-    for (std::size_t s = 0; s < regions_.size(); ++s) {
-      std::fprintf(stderr,
-                   "  region %zu: alive=%d offline_until=%lld running=%d "
-                   "loaded=%d entries:",
-                   s, regions_[s].alive ? 1 : 0,
-                   static_cast<long long>(regions_[s].offline_until),
-                   regions_[s].running_task, regions_[s].loaded_task);
-      for (const DesEntry& e : regions_[s].entries) {
-        std::fprintf(stderr, " %d(job=%zd)", e.task,
-                     e.job == SIZE_MAX ? -1
-                                       : static_cast<std::ptrdiff_t>(e.job));
-      }
-      std::fprintf(stderr, "\n");
-    }
-    for (std::size_t c = 0; c < controllers_.size(); ++c) {
-      std::fprintf(stderr, "  controller %zu: running=%zd queue:", c,
-                   controllers_[c].running == SIZE_MAX
-                       ? -1
-                       : static_cast<std::ptrdiff_t>(controllers_[c].running));
-      for (const std::size_t j : controllers_[c].queue) {
-        std::fprintf(
-            stderr, " j%zu(task=%d region=%zu state=%d not_before=%lld)", j,
-            jobs_[j].task, jobs_[j].region, static_cast<int>(jobs_[j].state),
-            static_cast<long long>(jobs_[j].not_before));
-      }
-      std::fprintf(stderr, "\n");
-    }
-    for (std::size_t c = 0; c < cores_.size(); ++c) {
-      std::fprintf(stderr, "  core %zu: running=%d queue:", c,
-                   cores_[c].running);
-      for (const TaskId t : cores_[c].queue) {
-        std::fprintf(stderr, " %d%s", t,
-                     tasks_[static_cast<std::size_t>(t)].done ? "(done)" : "");
-      }
-      std::fprintf(stderr, "\n");
-    }
-  }
-  RESCHED_CHECK_MSG(done_count_ == n_,
-                    "fault simulation stalled before completing all tasks");
+SimResult ReplaySim::Finish() {
+  RESCHED_CHECK_MSG(
+      done_count_ == n_,
+      StrFormat("simulation stalled at t=%lld with %zu of %zu tasks done",
+                static_cast<long long>(now_), done_count_, n_));
   SimResult result;
   result.task_start.assign(n_, 0);
   result.task_end.assign(n_, 0);
@@ -1235,13 +957,12 @@ SimResult FaultedSim::Finish() {
     slot.controller = job.controller;
     executed.reconfigurations.push_back(slot);
   }
-  std::sort(executed.reconfigurations.begin(),
-            executed.reconfigurations.end(),
-            [](const ReconfSlot& a, const ReconfSlot& b) {
-              if (a.start != b.start) return a.start < b.start;
-              if (a.region != b.region) return a.region < b.region;
-              return a.loads_task < b.loads_task;
-            });
+  // Ties keep job order: the plan's order first, then recovery's.
+  std::stable_sort(executed.reconfigurations.begin(),
+                   executed.reconfigurations.end(),
+                   [](const ReconfSlot& a, const ReconfSlot& b) {
+                     return a.start < b.start;
+                   });
   executed.makespan = result.makespan;
   executed.algorithm = schedule_.algorithm;
   executed.floorplan = schedule_.floorplan;
@@ -1249,7 +970,7 @@ SimResult FaultedSim::Finish() {
   return result;
 }
 
-SimResult FaultedSim::Run() {
+SimResult ReplaySim::Run() {
   Init();
   ApplyScenario();
   Dispatch();
@@ -1280,11 +1001,7 @@ SimResult FaultedSim::Run() {
 
 SimResult Simulate(const Instance& instance, const Schedule& schedule,
                    const SimOptions& options) {
-  if (options.faults.Empty()) {
-    return SimulateNominal(instance, schedule, options);
-  }
-  FaultedSim sim(instance, schedule, options);
-  return sim.Run();
+  return ReplaySim(instance, schedule, options).Run();
 }
 
 }  // namespace resched::sim

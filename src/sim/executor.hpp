@@ -3,26 +3,27 @@
 // Replays a schedule's *decisions* (implementation selection, mapping,
 // per-resource task orders, reconfiguration-controller assignment order)
 // under perturbed execution times, the way the static schedule would
-// actually unfold on the SoC: every task starts as soon as its
-// predecessors (plus HW<->SW transfer gaps), its resource (previous
-// occupant) and — for hardware tasks — its reconfiguration are done;
-// every reconfiguration starts as soon as the region's previous task ends
-// and its controller (in the recorded per-controller order) is free.
+// actually unfold on the SoC. One time-ordered event engine serves every
+// replay. Each core, region and controller runs its work in the plan's
+// own order: every task starts as soon as its predecessors (plus HW<->SW
+// transfer gaps), its resource (previous occupant) and, for hardware
+// tasks, its reconfiguration are done; every reconfiguration starts as
+// soon as the region's previous task ends and its controller is free.
 //
-// With zero jitter the simulated times can only be earlier than the static
-// schedule (all orderings are kept, all waits are earliest-start), which
+// Without faults the replay therefore starts every operation at exactly
+// the latest end among its plan-order predecessors. With zero jitter the
+// simulated times can only be earlier than the static schedule, which
 // doubles as a strong cross-check of schedule consistency. With jitter it
 // measures the *robustness* of a scheduler's decisions: how much a
 // schedule degrades when execution times deviate from their estimates.
 //
-// With a non-empty FaultScenario the replay switches to a time-ordered
-// event engine that injects the scenario's faults and recovers online per
-// the configured policy (sim/faults.hpp, sched/recovery.hpp): failed
-// reconfigurations retry with capped exponential backoff, transiently
-// faulted regions go offline for their repair window, permanently lost
-// regions hand their unstarted tasks to the recovery planner. An empty
-// scenario takes the original relaxation path, so nominal results are
-// bit-identical to the pre-fault executor.
+// A non-empty FaultScenario injects faults into the same engine, which
+// recovers online per the configured policy (sim/faults.hpp,
+// sched/recovery.hpp): failed reconfigurations retry with capped
+// exponential backoff, transiently faulted regions go offline for their
+// repair window, permanently lost regions hand their unstarted tasks to
+// the recovery planner. The plan's orders hold until a fault forces a
+// recovery decision (DESIGN.md §7).
 #pragma once
 
 #include "sched/recovery.hpp"
@@ -38,7 +39,7 @@ struct SimOptions {
   /// Same for reconfiguration durations.
   double reconf_jitter = 0.0;
   std::uint64_t seed = 1;
-  /// Fault events to inject; empty = nominal replay.
+  /// Fault events to inject; empty = a fault-free replay of the plan.
   FaultScenario faults;
   /// Recovery policy and retry knobs (consulted only under faults).
   RecoveryOptions recovery;

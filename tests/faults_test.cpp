@@ -73,31 +73,103 @@ TEST(FaultScenarioTest, RejectsForeignDocuments) {
                InstanceError);
 }
 
-TEST(FaultedSimTest, EmptyScenarioMatchesNominalReplay) {
-  // An explicitly-empty scenario must take the original relaxation path:
-  // every field the nominal executor reports is identical.
+TEST(FaultedSimTest, EmptyScenarioReplayIsTight) {
+  // Without faults the replay keeps every resource's plan order and starts
+  // each operation the moment its plan-order predecessors allow, with or
+  // without jitter and whatever the recovery policy.
   const Instance inst = MakeInstance(30, 6);
   const Schedule s = SchedulePa(inst);
-  SimOptions jittered;
-  jittered.task_jitter = 0.25;
-  jittered.reconf_jitter = 0.25;
-  jittered.seed = 17;
-  const SimResult base = Simulate(inst, s, jittered);
+  for (const double jitter : {0.0, 0.25}) {
+    SimOptions opt;
+    opt.task_jitter = jitter;
+    opt.reconf_jitter = jitter;
+    opt.seed = 17;
+    opt.recovery.policy = RecoveryPolicy::kSuffixReschedule;
+    const SimResult r = Simulate(inst, s, opt);
+    EXPECT_EQ(testing::ReplayTightnessViolations(inst, s, r.executed),
+              std::vector<std::string>{})
+        << "jitter " << jitter;
+    EXPECT_EQ(r.recovery.reconf_retries, 0u);
+    EXPECT_EQ(r.recovery.task_restarts, 0u);
+    EXPECT_EQ(r.recovery.migrations, 0u);
+    EXPECT_EQ(r.recovery.rescheduled_tasks, 0u);
+    EXPECT_TRUE(r.recovery.survived);
+  }
+}
 
-  SimOptions with_empty = jittered;
-  with_empty.faults = FaultScenario{};
-  with_empty.recovery.policy = RecoveryPolicy::kSuffixReschedule;
-  const SimResult same = Simulate(inst, s, with_empty);
+TEST(FaultedSimTest, SuffixRepairRedoesDisplacedReconfiguration) {
+  // Hand-built plan: `a` runs in region 0; `b` (a's successor) is loaded
+  // into region 1 early and waits for `a`. Region 0 dies while `a` runs,
+  // and suffix repair moves `a` into region 1 ahead of `b`. `a`'s bitstream
+  // overwrites `b`'s (loaded or still loading), so `b` must be
+  // reconfigured again after `a` ends. Reusing the earlier reconfiguration
+  // would run `b` on `a`'s configuration, which the validator rejects.
+  TaskGraph g;
+  const TaskId a = g.AddTask("a");
+  g.AddImpl(a, testing::SwImpl(100'000));
+  g.AddImpl(a, testing::HwImpl(10'000, 500));
+  const TaskId b = g.AddTask("b");
+  g.AddImpl(b, testing::SwImpl(100'000));
+  g.AddImpl(b, testing::HwImpl(10'000, 500));
+  g.AddEdge(a, b);
+  Instance inst{"displaced", testing::MakeSmallPlatform(), std::move(g)};
+  const ResourceVec res = inst.graph.GetImpl(a, 1).res;
+  const TimeT rt = inst.platform.ReconfTicks(res);
+  ASSERT_LT(rt, 10'000);
 
-  EXPECT_EQ(base.makespan, same.makespan);
-  EXPECT_EQ(base.task_start, same.task_start);
-  EXPECT_EQ(base.task_end, same.task_end);
-  EXPECT_DOUBLE_EQ(base.stretch, same.stretch);
-  EXPECT_EQ(same.recovery.reconf_retries, 0u);
-  EXPECT_EQ(same.recovery.task_restarts, 0u);
-  EXPECT_EQ(same.recovery.migrations, 0u);
-  EXPECT_EQ(same.recovery.rescheduled_tasks, 0u);
-  EXPECT_TRUE(same.recovery.survived);
+  Schedule s;
+  auto hw_slot = [](TaskId t, std::size_t region, TimeT start) {
+    TaskSlot slot;
+    slot.task = t;
+    slot.impl_index = 1;
+    slot.target = TargetKind::kRegion;
+    slot.target_index = region;
+    slot.start = start;
+    slot.end = start + 10'000;
+    return slot;
+  };
+  s.task_slots = {hw_slot(a, 0, rt), hw_slot(b, 1, rt + 10'000)};
+  for (const TaskId t : {a, b}) {
+    RegionInfo region;
+    region.res = res;
+    region.reconf_time = rt;
+    region.tasks = {t};
+    s.regions.push_back(region);
+  }
+  s.reconfigurations = {ReconfSlot{0, a, 0, rt, 0},
+                        ReconfSlot{1, b, rt, 2 * rt, 0}};
+  s.makespan = rt + 20'000;
+
+  // Region 0 dies while `a` runs: once while `b`'s bitstream is still
+  // loading, once after it is loaded.
+  for (const TimeT at : {rt + 1, 2 * rt + 1}) {
+    FaultEvent loss;
+    loss.kind = FaultKind::kPermanentRegionLoss;
+    loss.index = 0;
+    loss.at = at;
+    SimOptions opt;
+    opt.faults.events.push_back(loss);
+    opt.recovery.policy = RecoveryPolicy::kSuffixReschedule;
+    const SimResult r = Simulate(inst, s, opt);
+    ASSERT_TRUE(r.recovery.survived) << "loss at " << at;
+    EXPECT_EQ(r.recovery.rescheduled_tasks, 1u) << "loss at " << at;
+    const TaskSlot& moved =
+        r.executed.task_slots[static_cast<std::size_t>(a)];
+    ASSERT_TRUE(moved.OnFpga()) << "loss at " << at;
+    EXPECT_EQ(moved.target_index, 1u) << "loss at " << at;
+    std::size_t b_loads = 0;
+    for (const ReconfSlot& reconf : r.executed.reconfigurations) {
+      if (reconf.loads_task != b) continue;
+      ++b_loads;
+      EXPECT_GE(reconf.start, moved.end) << "loss at " << at;
+    }
+    EXPECT_EQ(b_loads, 1u) << "loss at " << at;
+    ValidationOptions vopt;
+    vopt.executed = true;
+    vopt.outages = OutagesFromScenario(opt.faults);
+    const ValidationResult v = ValidateSchedule(inst, r.executed, vopt);
+    EXPECT_TRUE(v.ok()) << "loss at " << at << "\n" << v.Summary();
+  }
 }
 
 TEST(FaultedSimTest, SurvivesAndValidatesUnderAllPolicies) {

@@ -91,6 +91,12 @@ bool any(const unsigned long long* a, const unsigned long long* b) {
 }
 EOF
 
+mkdir -p "$TMP/src/sim"
+cat > "$TMP/src/sim/hidden_knob.cpp" <<'EOF'
+#include <cstdlib>
+bool verbose() { return std::getenv("SIM_VERBOSE") != nullptr; }
+EOF
+
 mkdir -p "$TMP/src/router"
 cat > "$TMP/src/router/bad_write.cpp" <<'EOF'
 #include "util/socket.hpp"
@@ -107,7 +113,7 @@ for rule in no-std-rand no-wall-clock-seed no-argless-random-device \
     no-silent-catch no-adhoc-seed-derivation \
     no-unchecked-syscall-return no-unchecked-stream-write \
     no-vector-bool-hot reserve-before-push-hot \
-    no-raw-intrinsics-outside-simd no-unframed-tcp-write; do
+    no-raw-intrinsics-outside-simd no-adhoc-getenv no-unframed-tcp-write; do
   echo "$out" | grep -q "\[$rule\]" || fail "rule $rule did not fire"
 done
 

@@ -2,7 +2,9 @@
 #include <gtest/gtest.h>
 
 #include "core/pa_scheduler.hpp"
+#include "core/pa_state.hpp"
 #include "core/randomized.hpp"
+#include "io/schedule_io.hpp"
 #include "sched/validator.hpp"
 #include "taskgraph/generator.hpp"
 #include "test_helpers.hpp"
@@ -174,22 +176,31 @@ TEST(PaRTest, BestMakespanIndependentOfThreadCount) {
 }
 
 TEST(PaRTest, ScratchReuseIsBitIdentical) {
-  // The reusable-PaScratch hot path must be an optimization only: same
-  // candidates, same best schedule as the rebuild-everything baseline.
+  // The recycled-PaScratch hot path must be an optimization only: one
+  // scratch reused across PA-R's (capacity, seed) draws yields exactly the
+  // schedule a fresh RunPaCore builds for the same draw.
   const Instance inst = MakeInstance(25, 41);
-  PaROptions opt;
-  opt.max_iterations = 30;
-  opt.time_budget_seconds = 0.0;
-  opt.seed = 6;
-  opt.threads = 2;
-  opt.reuse_scratch = true;
-  const PaRResult fast = SchedulePaR(inst, opt);
-  opt.reuse_scratch = false;
-  const PaRResult slow = SchedulePaR(inst, opt);
-  ASSERT_TRUE(fast.found);
-  ASSERT_TRUE(slow.found);
-  EXPECT_EQ(fast.best.makespan, slow.best.makespan);
-  EXPECT_EQ(fast.best.floorplan.size(), slow.best.floorplan.size());
+  const PaROptions par;
+  PaOptions inner = par.base;
+  inner.ordering = NonCriticalOrder::kRandom;
+  inner.run_floorplan = false;
+  const pa::PaContext ctx(inst, inner);
+  pa::PaScratch scratch(ctx);
+  Schedule recycled;
+  const ResourceVec full_cap = inst.platform.Device().Capacity();
+  for (std::size_t iter = 1; iter <= 30; ++iter) {
+    const std::uint64_t seed = DeriveSeed(kParSeedStream ^ 6, iter);
+    Rng reuse_rng(seed);
+    Rng fresh_rng(seed);
+    const ResourceVec cap = full_cap.ScaledDown(reuse_rng.UniformDouble(
+        par.capacity_factor_lo, par.capacity_factor_hi));
+    (void)fresh_rng.UniformDouble(par.capacity_factor_lo,
+                                  par.capacity_factor_hi);
+    RunPaCore(ctx, scratch, cap, reuse_rng, recycled);
+    const Schedule fresh = RunPaCore(inst, inner, cap, fresh_rng);
+    EXPECT_EQ(ScheduleToString(inst, recycled), ScheduleToString(inst, fresh))
+        << "iteration " << iter;
+  }
 }
 
 TEST(PaRTest, FloorplanCacheOnOffBitIdentical) {

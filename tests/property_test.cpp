@@ -7,9 +7,13 @@
 //   * the floorplanner agrees with an independent brute-force oracle on
 //     tiny fabrics;
 //   * the validator never crashes on randomly mutated schedules and stays
-//     deterministic.
+//     deterministic;
+//   * the simulator replays fault-free PA and IS-k plans tightly on 1-3
+//     controllers, and under faults never stalls and never emits an
+//     as-executed schedule the validator rejects, whatever the policy.
 #include <gtest/gtest.h>
 
+#include "baseline/isk_scheduler.hpp"
 #include "core/pa_scheduler.hpp"
 #include "floorplan/floorplanner.hpp"
 #include "sched/validator.hpp"
@@ -361,51 +365,84 @@ INSTANTIATE_TEST_SUITE_P(Seeds, SchedulerInvariantSweep,
 // ----------------------------------------------------------------- simulator
 
 class SimulatorPropertySweep
-    : public ::testing::TestWithParam<std::uint64_t> {};
+    : public ::testing::TestWithParam<std::uint64_t> {
+ protected:
+  /// A PA and an IS-k plan on a platform with 1-3 reconfiguration
+  /// controllers (both picked by the seed).
+  static std::vector<std::pair<Instance, Schedule>> Plans(
+      std::size_t num_tasks, std::size_t max_width, std::uint64_t seed) {
+    GeneratorOptions gen;
+    gen.num_tasks = num_tasks;
+    gen.max_width = max_width;
+    const Instance inst = GenerateInstance(
+        MakeZedBoard().WithReconfigurators(1 + GetParam() % 3), gen, seed,
+        "simprop");
+    IskOptions isk;
+    isk.k = 1 + GetParam() % 3;
+    isk.node_budget = 2000;
+    return {{inst, SchedulePa(inst)}, {inst, ScheduleIsk(inst, isk)}};
+  }
+};
 
 TEST_P(SimulatorPropertySweep, ZeroJitterZeroFaultNeverStretches) {
   // With nominal durations and no faults the replay can only compact
-  // schedule slack, and the explicitly-empty scenario must reproduce the
-  // default (pre-fault) executor bit for bit.
-  GeneratorOptions gen;
-  gen.num_tasks = 25 + GetParam() % 20;
-  const Instance inst =
-      GenerateInstance(MakeZedBoard(), gen, GetParam(), "simprop");
-  const Schedule s = SchedulePa(inst);
-  const sim::SimResult base = sim::Simulate(inst, s);
-  EXPECT_LE(base.stretch, 1.0);
-  EXPECT_LE(base.makespan, s.makespan);
+  // schedule slack, and with or without jitter every operation starts the
+  // moment its plan-order predecessors allow.
+  for (const auto& [inst, s] :
+       Plans(25 + GetParam() % 20, 10, GetParam())) {
+    const sim::SimResult base = sim::Simulate(inst, s);
+    EXPECT_LE(base.stretch, 1.0) << s.algorithm;
+    EXPECT_LE(base.makespan, s.makespan) << s.algorithm;
+    EXPECT_EQ(testing::ReplayTightnessViolations(inst, s, base.executed),
+              std::vector<std::string>{})
+        << s.algorithm;
 
-  sim::SimOptions empty_scenario;
-  empty_scenario.faults = sim::FaultScenario{};
-  const sim::SimResult same = sim::Simulate(inst, s, empty_scenario);
-  EXPECT_EQ(base.makespan, same.makespan);
-  EXPECT_EQ(base.task_start, same.task_start);
-  EXPECT_EQ(base.task_end, same.task_end);
+    sim::SimOptions jittered;
+    jittered.task_jitter = 0.3;
+    jittered.reconf_jitter = 0.2;
+    jittered.seed = DeriveSeed(kJitterSeedStream, GetParam());
+    const sim::SimResult r = sim::Simulate(inst, s, jittered);
+    EXPECT_EQ(testing::ReplayTightnessViolations(inst, s, r.executed),
+              std::vector<std::string>{})
+        << s.algorithm << " jittered";
+  }
 }
 
 TEST_P(SimulatorPropertySweep, FaultedReplaySurvivesRandomShapes) {
+  // Every policy finishes every task (no stall) and leaves an as-executed
+  // schedule the independent validator accepts.
   Rng rng(GetParam() ^ 0xFA017);
-  GeneratorOptions gen;
-  gen.num_tasks = static_cast<std::size_t>(rng.UniformInt(5, 45));
-  gen.max_width = static_cast<std::size_t>(rng.UniformInt(1, 10));
-  const Instance inst =
-      GenerateInstance(MakeZedBoard(), gen, GetParam() * 104729, "simshape");
-  const Schedule s = SchedulePa(inst);
-  sim::SimOptions opt;
-  opt.task_jitter = 0.3;
-  opt.reconf_jitter = 0.3;
-  opt.seed = DeriveSeed(kJitterSeedStream, GetParam());
-  opt.faults = sim::GenerateFaultScenario(
-      s, sim::UniformFaultRates(0.35), DeriveSeed(kFaultSeedStream, GetParam()));
-  opt.recovery.policy = static_cast<RecoveryPolicy>(GetParam() % 3);
-  const sim::SimResult r = sim::Simulate(inst, s, opt);
-  EXPECT_TRUE(r.recovery.survived);
-  ValidationOptions vopt;
-  vopt.executed = true;
-  vopt.outages = sim::OutagesFromScenario(opt.faults);
-  const ValidationResult v = ValidateSchedule(inst, r.executed, vopt);
-  EXPECT_TRUE(v.ok()) << v.Summary();
+  const auto n = static_cast<std::size_t>(rng.UniformInt(5, 45));
+  const auto width = static_cast<std::size_t>(rng.UniformInt(1, 10));
+  for (const auto& [inst, s] : Plans(n, width, GetParam() * 104729)) {
+    for (const RecoveryPolicy policy :
+         {RecoveryPolicy::kRetry, RecoveryPolicy::kSoftwareFallback,
+          RecoveryPolicy::kSuffixReschedule}) {
+      sim::SimOptions opt;
+      opt.task_jitter = 0.3;
+      opt.reconf_jitter = 0.3;
+      opt.seed = DeriveSeed(kJitterSeedStream, GetParam());
+      opt.faults = sim::GenerateFaultScenario(
+          s, sim::UniformFaultRates(0.35),
+          DeriveSeed(kFaultSeedStream, GetParam()));
+      opt.recovery.policy = policy;
+      sim::SimResult r;
+      try {
+        r = sim::Simulate(inst, s, opt);
+      } catch (const InternalError& e) {
+        ADD_FAILURE() << s.algorithm << " " << ToString(policy) << ": "
+                      << e.what();
+        continue;
+      }
+      EXPECT_TRUE(r.recovery.survived);
+      ValidationOptions vopt;
+      vopt.executed = true;
+      vopt.outages = sim::OutagesFromScenario(opt.faults);
+      const ValidationResult v = ValidateSchedule(inst, r.executed, vopt);
+      EXPECT_TRUE(v.ok()) << s.algorithm << " " << ToString(policy) << "\n"
+                          << v.Summary();
+    }
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SimulatorPropertySweep,

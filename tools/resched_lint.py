@@ -71,6 +71,12 @@ Rules:
                             the scalar oracle keeps its differential-test
                             coverage. Route new vector code through
                             simd::KernelTable.
+  no-adhoc-getenv           getenv outside the modules whose environment
+                            variables are documented (util/io_faults,
+                            util/logging, util/simd, bench/common): an
+                            ad-hoc variable is a hidden knob that no flag,
+                            test or doc shows; take the setting through
+                            options or flags.
 
 AST rules (--ast; libclang-backed, see resched_lint_ast.py for the full
 rule prose; they skip with a notice when libclang is unavailable, and
@@ -294,6 +300,11 @@ INTRINSIC_RE = re.compile(
     r"|(?:uint|int|float)(?:8|16|32|64)x\d+_t\b)")
 SIMD_LAYER_FILE = "src/util/simd.hpp"
 
+# Environment reads: only these modules own documented variables.
+GETENV_RE = re.compile(r"(?<![\w])getenv\s*\(")
+GETENV_ALLOWED_PREFIXES = ("src/util/io_faults.", "src/util/logging.",
+                           "src/util/simd.", "bench/common/")
+
 VECTOR_BOOL_RE = re.compile(r"\bvector\s*<\s*bool\s*>")
 
 LOOP_RE = re.compile(r"\b(?:for|while)\s*\(")
@@ -508,6 +519,12 @@ def lint_file(path, root, findings):
                 "raw SIMD intrinsic outside src/util/simd.hpp; add a "
                 "kernel to simd::KernelTable so it stays behind runtime "
                 "dispatch and the scalar differential tests")
+        if not relpath.startswith(GETENV_ALLOWED_PREFIXES) and \
+                GETENV_RE.search(line):
+            report(
+                lineno, "no-adhoc-getenv",
+                "getenv outside util/io_faults, util/logging, util/simd and "
+                "bench/common; take the setting through options or flags")
         if relpath.startswith(HOT_PATH_PREFIXES) and \
                 VECTOR_BOOL_RE.search(line):
             report(
@@ -633,7 +650,7 @@ def main(argv):
                      "no-unchecked-stream-write", "no-vector-bool-hot",
                      "reserve-before-push-hot",
                      "no-raw-intrinsics-outside-simd",
-                     "no-unframed-tcp-write"):
+                     "no-adhoc-getenv", "no-unframed-tcp-write"):
             print(rule)
         from resched_lint_ast import AST_RULES
         for rule in AST_RULES:
