@@ -1,5 +1,6 @@
 #include "bench_common.hpp"
 
+#include <algorithm>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -33,6 +34,30 @@ BenchConfig LoadConfig() {
 std::vector<Instance> Group(const BenchConfig& config,
                             std::size_t num_tasks) {
   return GenerateSuiteGroup(config.platform, config.suite, num_tasks);
+}
+
+LegRate RepeatLeg(const std::function<LegSample()>& leg, double min_seconds,
+                  std::size_t reps) {
+  LegRate out;
+  std::vector<double> rates;
+  for (std::size_t r = 0; r < reps; ++r) {
+    LegSample rep;
+    do {
+      const LegSample call = leg();
+      RESCHED_CHECK_MSG(call.seconds > 0.0, "bench leg reported no time");
+      rep.ops += call.ops;
+      rep.seconds += call.seconds;
+      ++out.calls;
+    } while (rep.seconds < min_seconds);
+    rates.push_back(rep.ops / rep.seconds);
+    out.ops += rep.ops;
+    out.seconds += rep.seconds;
+  }
+  out.reps = rates.size();
+  out.median = Median(rates);
+  out.min = *std::min_element(rates.begin(), rates.end());
+  out.max = *std::max_element(rates.begin(), rates.end());
+  return out;
 }
 
 namespace {

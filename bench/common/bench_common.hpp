@@ -92,4 +92,29 @@ std::string WriteCsv(const BenchConfig& config, const std::string& name,
 /// Prints a right-aligned text table row.
 void PrintRow(const std::vector<std::string>& cells, std::size_t width = 14);
 
+/// One call of a timed bench leg: how many operations it ran and the
+/// seconds they took (the leg times itself, so set-up it does not want to
+/// count stays out).
+struct LegSample {
+  double ops = 0.0;
+  double seconds = 0.0;
+};
+
+/// Rate of a leg repeated to a minimum duration. A leg of a few
+/// milliseconds swings several-fold between identical runs, so each
+/// repetition calls the leg until `min_seconds` of timed work have
+/// accumulated, and the reported rate is the median over the repetitions.
+struct LegRate {
+  double median = 0.0;  ///< ops/s
+  double min = 0.0;
+  double max = 0.0;
+  std::size_t reps = 0;
+  std::size_t calls = 0;  ///< leg calls over all repetitions
+  double ops = 0.0;       ///< summed over all calls
+  double seconds = 0.0;   ///< summed over all calls
+};
+
+LegRate RepeatLeg(const std::function<LegSample()>& leg,
+                  double min_seconds = 0.05, std::size_t reps = 3);
+
 }  // namespace resched::bench

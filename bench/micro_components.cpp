@@ -27,9 +27,9 @@ void BM_GenerateInstance(benchmark::State& state) {
 }
 BENCHMARK(BM_GenerateInstance)->Arg(10)->Arg(50)->Arg(100);
 
-void BM_CpmWindows(benchmark::State& state) {
-  const Instance inst = MakeBenchInstance(
-      static_cast<std::size_t>(state.range(0)));
+/// CPM context over a bench instance, every task on its first
+/// implementation.
+TimingContext MakeBenchTiming(const Instance& inst) {
   TimingContext timing(inst.graph);
   for (std::size_t t = 0; t < inst.graph.NumTasks(); ++t) {
     timing.SetExecTime(static_cast<TaskId>(t),
@@ -37,15 +37,67 @@ void BM_CpmWindows(benchmark::State& state) {
                            .impls.front()
                            .exec_time);
   }
-  TimeT flip = 1000;
+  return timing;
+}
+
+// The three CPM legs: the full sweep (first computation and non-monotone
+// fallback) and the two monotone edits the PA phases issue most, each
+// followed by a T_MIN read.
+void BM_CpmFullSweep(benchmark::State& state) {
+  const Instance inst = MakeBenchInstance(
+      static_cast<std::size_t>(state.range(0)));
+  TimingContext timing = MakeBenchTiming(inst);
+  const std::vector<std::pair<std::pair<TaskId, TaskId>, TimeT>> no_gaps;
   for (auto _ : state) {
-    // Alternate an exec time so every Windows() call recomputes.
-    timing.SetExecTime(0, flip);
-    flip = flip == 1000 ? 1001 : 1000;
+    // Reassigning the base gaps is a non-monotone edit: the read runs the
+    // forward and the backward sweep (the edge set, hence the cached
+    // topological order, is unchanged).
+    timing.AssignBaseEdgeGaps(no_gaps);
     benchmark::DoNotOptimize(timing.Windows().makespan);
   }
 }
-BENCHMARK(BM_CpmWindows)->Arg(10)->Arg(50)->Arg(100);
+BENCHMARK(BM_CpmFullSweep)->Arg(10)->Arg(50)->Arg(100);
+
+void BM_CpmAddOrderingEdge(benchmark::State& state) {
+  const Instance inst = MakeBenchInstance(
+      static_cast<std::size_t>(state.range(0)));
+  const auto n = static_cast<std::int64_t>(inst.graph.NumTasks());
+  TimingContext timing = MakeBenchTiming(inst);
+  Rng rng(5);
+  std::size_t edges = 0;
+  for (auto _ : state) {
+    // A task pair in T_MIN order (the scheduler's case): never a cycle.
+    auto a = static_cast<TaskId>(rng.UniformInt(0, n - 1));
+    auto b = static_cast<TaskId>(rng.UniformInt(0, n - 1));
+    if (timing.EarliestStart(a) > timing.EarliestStart(b)) std::swap(a, b);
+    if (a == b) continue;
+    timing.AddOrderingEdge(a, b, 0);
+    benchmark::DoNotOptimize(timing.Makespan());
+    if (++edges == 4 * inst.graph.NumTasks()) {  // bound the edge set
+      state.PauseTiming();
+      timing = MakeBenchTiming(inst);
+      (void)timing.Makespan();
+      edges = 0;
+      state.ResumeTiming();
+    }
+  }
+}
+BENCHMARK(BM_CpmAddOrderingEdge)->Arg(10)->Arg(50)->Arg(100);
+
+void BM_CpmRaiseRelease(benchmark::State& state) {
+  const Instance inst = MakeBenchInstance(
+      static_cast<std::size_t>(state.range(0)));
+  const auto n = static_cast<std::int64_t>(inst.graph.NumTasks());
+  TimingContext timing = MakeBenchTiming(inst);
+  Rng rng(6);
+  for (auto _ : state) {
+    // A small delay past the current T_MIN, as a reconfiguration causes.
+    const auto t = static_cast<TaskId>(rng.UniformInt(0, n - 1));
+    timing.RaiseRelease(t, timing.EarliestStart(t) + rng.UniformInt(1, 500));
+    benchmark::DoNotOptimize(timing.Makespan());
+  }
+}
+BENCHMARK(BM_CpmRaiseRelease)->Arg(10)->Arg(50)->Arg(100);
 
 void BM_EnumeratePlacements(benchmark::State& state) {
   const FpgaDevice device = MakeXc7z020();

@@ -9,7 +9,11 @@
 // replay-exact cache hits); the harness aborts if they disagree on the
 // best makespan, so a speedup here can never hide a behaviour change. The
 // workload is the Fig. 6 convergence setup (one suite instance per size)
-// under a fixed iteration cap, at 1 and 8 worker threads.
+// under a fixed iteration cap, at 1 and 8 worker threads. Each leg repeats
+// that PA-R run until 50 ms of restart-loop time have accumulated, three
+// times over, and reports the median rate with its min and max
+// (RepeatLeg): a single 64-restart run at 8 threads lasts only a few
+// milliseconds, and its rate swings several-fold between identical runs.
 //
 // The rebuild-everything restart path is gone; its rows (mode `legacy`)
 // stay in the committed bench_results/micro_restart.csv as a historical
@@ -70,6 +74,9 @@ constexpr Mode kModes[] = {
     {"reuse+cache", true},
 };
 
+/// Columns of micro_restart.csv (see the WriteCsv header below).
+constexpr std::size_t kCsvColumns = 18;
+
 /// The committed `legacy` rows of micro_restart.csv (empty when the file
 /// is missing).
 std::vector<std::vector<std::string>> LoadLegacyRows() {
@@ -79,6 +86,8 @@ std::vector<std::vector<std::string>> LoadLegacyRows() {
   while (std::getline(in, line)) {
     std::vector<std::string> fields = Split(line, ',');
     if (fields.size() > 6 && fields[2] == "legacy") {
+      // Single-run rows from before the repeated legs: no spread columns.
+      fields.resize(kCsvColumns);
       rows.push_back(std::move(fields));
     }
   }
@@ -92,7 +101,8 @@ int main() {
   const auto iterations = static_cast<std::size_t>(
       std::max(64.0, 192.0 * config.scale));
   std::cout << "=== micro_restart: PA-R restart throughput ("
-            << iterations << " restarts/leg) ===\n";
+            << iterations
+            << " restarts/run, runs repeated to 50 ms, median of 3) ===\n";
 
   std::vector<std::vector<std::string>> csv_rows = LoadLegacyRows();
   const std::size_t legacy_rows = csv_rows.size();
@@ -111,8 +121,8 @@ int main() {
   for (const std::size_t n : {20u, 40u, 80u, 100u}) {
     const Instance instance = Group(config, n).front();
     std::cout << "\n-- " << instance.name << " (" << n << " tasks) --\n";
-    PrintRow({"mode", "threads", "restarts/s", "allocs/iter", "hit rate",
-              "makespan[ms]"});
+    PrintRow({"mode", "threads", "restarts/s", "min-max", "allocs/iter",
+              "hit rate", "makespan[ms]"});
 
     TimeT reference_makespan = 0;
     for (const Mode& mode : kModes) {
@@ -124,51 +134,57 @@ int main() {
         opt.seed = 2016;
         opt.base.floorplan_cache = mode.floorplan_cache;
 
+        PaRResult result;
+        bool mismatch = false;
         const std::uint64_t allocs_before =
             g_allocs.load(std::memory_order_relaxed);
-        const PaRResult result = SchedulePaR(instance, opt);
+        const LegRate leg = RepeatLeg([&] {
+          result = SchedulePaR(instance, opt);
+          // Every call must agree: the hot path is an optimization, not a
+          // behaviour change.
+          if (!result.found) {
+            mismatch = true;
+          } else if (reference_makespan == 0) {
+            reference_makespan = result.best.makespan;
+          } else if (result.best.makespan != reference_makespan) {
+            mismatch = true;
+          }
+          return LegSample{static_cast<double>(result.iterations),
+                           result.seconds};
+        });
         const std::uint64_t allocs =
             g_allocs.load(std::memory_order_relaxed) - allocs_before;
-
-        if (!result.found) {
-          std::cerr << "FATAL: no schedule found for " << instance.name
-                    << "\n";
-          return 1;
-        }
-        // Every leg must agree: the hot path is an optimization, not a
-        // behaviour change.
-        if (reference_makespan == 0) {
-          reference_makespan = result.best.makespan;
-        } else if (result.best.makespan != reference_makespan) {
-          std::cerr << "FATAL: makespan mismatch in mode " << mode.name
-                    << " threads=" << threads << ": "
-                    << result.best.makespan << " vs " << reference_makespan
-                    << "\n";
+        if (mismatch) {
+          std::cerr << "FATAL: no schedule or a makespan mismatch in mode "
+                    << mode.name << " threads=" << threads << " on "
+                    << instance.name << " (reference " << reference_makespan
+                    << ")\n";
           return 1;
         }
 
-        const double rate =
-            static_cast<double>(result.iterations) / result.seconds;
-        const double allocs_per_iter =
-            static_cast<double>(allocs) /
-            static_cast<double>(result.iterations);
+        const double rate = leg.median;
+        const double allocs_per_iter = static_cast<double>(allocs) / leg.ops;
         const FloorplanCacheStats& fc = result.floorplan_cache;
 
         PrintRow({mode.name, std::to_string(threads),
-                  StrFormat("%.0f", rate), StrFormat("%.1f", allocs_per_iter),
+                  StrFormat("%.0f", rate),
+                  StrFormat("%.0f-%.0f", leg.min, leg.max),
+                  StrFormat("%.1f", allocs_per_iter),
                   StrFormat("%.2f", fc.HitRate()),
                   StrFormat("%.2f",
                             static_cast<double>(result.best.makespan) / 1e3)});
         csv_rows.push_back(
             {instance.name, std::to_string(n), mode.name,
-             std::to_string(threads), std::to_string(result.iterations),
-             StrFormat("%.6f", result.seconds), StrFormat("%.1f", rate),
+             std::to_string(threads), StrFormat("%.0f", leg.ops),
+             StrFormat("%.6f", leg.seconds), StrFormat("%.1f", rate),
              StrFormat("%.2f", allocs_per_iter),
              std::to_string(result.best.makespan),
              std::to_string(fc.queries), std::to_string(fc.hits),
              std::to_string(fc.misses), std::to_string(fc.evictions),
              StrFormat("%.4f", fc.HitRate()),
-             simd::BackendName(simd::ActiveBackend())});
+             simd::BackendName(simd::ActiveBackend()),
+             std::to_string(leg.reps), StrFormat("%.1f", leg.min),
+             StrFormat("%.1f", leg.max)});
         const double legacy = legacy_rate(instance.name, threads);
         if (mode.floorplan_cache && legacy > 0.0) {
           const double speedup = rate / legacy;
@@ -186,7 +202,8 @@ int main() {
            {"instance", "num_tasks", "mode", "threads", "iterations",
             "seconds", "restarts_per_sec", "allocs_per_iter",
             "best_makespan_us", "cache_queries", "cache_hits", "cache_misses",
-            "cache_evictions", "cache_hit_rate", "simd"},
+            "cache_evictions", "cache_hit_rate", "simd", "reps",
+            "rate_min", "rate_max"},
            csv_rows);
   if (speedup_count_8t > 0) {
     std::cout << "\ngeomean speedup @8 threads (reuse+cache vs committed "

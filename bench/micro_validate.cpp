@@ -12,7 +12,10 @@
 // can never hide a behaviour change. Schedules are valid by construction,
 // which is the common case the fast path optimizes: production callers
 // (reschedd admission, bench harnesses, the simulator) validate mostly
-// valid schedules, where the scan is pure proof-of-absence work.
+// valid schedules, where the scan is pure proof-of-absence work. Each leg
+// repeats its batch of validations until 50 ms have accumulated, three
+// times over, and reports the median rate with its min and max
+// (RepeatLeg).
 #include <cmath>
 #include <cstdlib>
 #include <iostream>
@@ -29,7 +32,8 @@ int main() {
   const auto reps = static_cast<std::size_t>(
       std::max(40.0, 400.0 * config.scale));
   std::cout << "=== micro_validate: validator throughput (" << reps
-            << " validations/leg) ===\n";
+            << " validations/batch, batches repeated to 50 ms, median of 3)"
+               " ===\n";
 
   std::vector<std::vector<std::string>> csv_rows;
   double speedup_product = 1.0;
@@ -53,7 +57,7 @@ int main() {
 
     std::cout << "\n-- " << instance.name << " (" << n << " tasks, "
               << schedule.regions.size() << " regions) --\n";
-    PrintRow({"scan", "validations/s", "violations"});
+    PrintRow({"scan", "validations/s", "min-max", "violations"});
 
     ValidationOptions vopt;
     vopt.fast_scan = false;
@@ -73,23 +77,31 @@ int main() {
       vopt.fast_scan = fast_scan;
       // Warm-up validation outside the timed region.
       (void)ValidateSchedule(instance, schedule, vopt);
-      WallTimer timer;
       std::size_t violations = 0;
-      for (std::size_t r = 0; r < reps; ++r) {
-        violations += ValidateSchedule(instance, schedule, vopt)
-                          .violations.size();
-      }
-      const double seconds = timer.ElapsedSeconds();
-      const double rate = static_cast<double>(reps) / seconds;
+      const LegRate leg = RepeatLeg([&] {
+        WallTimer timer;
+        for (std::size_t r = 0; r < reps; ++r) {
+          violations += ValidateSchedule(instance, schedule, vopt)
+                            .violations.size();
+        }
+        return LegSample{static_cast<double>(reps), timer.ElapsedSeconds()};
+      });
+      const double rate = leg.median;
       const char* name = fast_scan ? "bitset" : "interval";
       if (!fast_scan) interval_rate = rate;
 
-      PrintRow({name, StrFormat("%.0f", rate), std::to_string(violations)});
+      PrintRow({name, StrFormat("%.0f", rate),
+                StrFormat("%.0f-%.0f", leg.min, leg.max),
+                std::to_string(violations)});
       csv_rows.push_back({instance.name, std::to_string(n), name,
-                          std::to_string(reps), StrFormat("%.6f", seconds),
+                          StrFormat("%.0f", leg.ops),
+                          StrFormat("%.6f", leg.seconds),
                           StrFormat("%.1f", rate),
                           std::to_string(violations),
-                          simd::BackendName(simd::ActiveBackend())});
+                          simd::BackendName(simd::ActiveBackend()),
+                          std::to_string(leg.reps),
+                          StrFormat("%.1f", leg.min),
+                          StrFormat("%.1f", leg.max)});
       if (fast_scan && interval_rate > 0.0) {
         const double speedup = rate / interval_rate;
         std::cout << "   speedup vs interval scan: "
@@ -101,7 +113,8 @@ int main() {
   }
   WriteCsv(config, "micro_validate",
            {"instance", "num_tasks", "scan", "validations", "seconds",
-            "validations_per_sec", "violations", "simd"},
+            "validations_per_sec", "violations", "simd", "reps", "rate_min",
+            "rate_max"},
            csv_rows);
   if (speedup_count > 0) {
     std::cout << "\ngeomean speedup (bitset vs interval): "

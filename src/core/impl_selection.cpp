@@ -14,7 +14,7 @@ void RunImplementationSelection(const PaContext& ctx, PaScratch& s) {
 }
 
 void RunCriticalPathExtraction(const PaContext& ctx, PaScratch& s) {
-  // The CPM sweep itself lives in TimingContext (recomputed on demand);
+  // The CPM windows themselves live in TimingContext (kept exact per edit);
   // here we pin the criticality labels that drive the phase-C processing
   // order, as the paper fixes them once after the initial schedule.
   (void)ctx;

@@ -7,7 +7,6 @@
 
 #include "core/cost_model.hpp"
 #include "sched/comm.hpp"
-#include "taskgraph/timing.hpp"
 
 namespace resched::pa {
 
@@ -15,7 +14,8 @@ PaContext::PaContext(const Instance& instance, const PaOptions& options)
     : instance_(&instance),
       options_(&options),
       weights_(ComputeResourceWeights(instance.platform.Device().Capacity())),
-      max_t_(instance.graph.SerialLowerBoundTime()) {
+      max_t_(instance.graph.SerialLowerBoundTime()),
+      initial_timing_(instance.graph) {
   const TaskGraph& graph = instance.graph;
   const ResourceVec& max_res = instance.platform.Device().Capacity();
   const std::size_t n = graph.NumTasks();
@@ -53,7 +53,6 @@ PaContext::PaContext(const Instance& instance, const PaOptions& options)
   // Capacity never enters Eq. (3), so this selection — and everything
   // derived from it below — is shared verbatim by every restart.
   initial_impl_.resize(n);
-  initial_exec_.resize(n);
   for (std::size_t ti = 0; ti < n; ++ti) {
     const auto t = static_cast<TaskId>(ti);
     const Task& task = graph.GetTask(t);
@@ -79,13 +78,14 @@ PaContext::PaContext(const Instance& instance, const PaOptions& options)
       chosen = best_hw;
     }
     initial_impl_[ti] = chosen;
-    initial_exec_[ti] = task.impls[chosen].exec_time;
+    initial_timing_.SetExecTime(t, task.impls[chosen].exec_time);
   }
 
   // Communication-overhead extension: transfer gaps on base edges under
   // the phase-A HW/SW domains.
   if (graph.HasEdgeData() && instance.platform.HwSwBandwidthBytesPerSec() > 0.0) {
-    initial_edge_gaps_.reserve(graph.NumEdges());
+    std::vector<std::pair<std::pair<TaskId, TaskId>, TimeT>> gaps;
+    gaps.reserve(graph.NumEdges());
     for (std::size_t ti = 0; ti < n; ++ti) {
       const auto t = static_cast<TaskId>(ti);
       const bool t_hw = graph.GetImpl(t, initial_impl_[ti]).IsHardware();
@@ -93,20 +93,17 @@ PaContext::PaContext(const Instance& instance, const PaOptions& options)
         const auto si = static_cast<std::size_t>(s);
         const bool s_hw = graph.GetImpl(s, initial_impl_[si]).IsHardware();
         const TimeT gap = CommGap(instance.platform, graph, t, s, t_hw, s_hw);
-        if (gap != 0) initial_edge_gaps_.push_back({{t, s}, gap});
+        if (gap != 0) gaps.push_back({{t, s}, gap});
       }
     }
-    std::sort(initial_edge_gaps_.begin(), initial_edge_gaps_.end());
+    initial_timing_.AssignBaseEdgeGaps(gaps);
   }
 
   // ---- §V-B: criticality snapshot on the phase-A windows ----------------
+  // Computing the full windows here also leaves initial_timing_ with no
+  // lazy state, so concurrent readers never mutate it.
   {
-    TimingContext timing(graph);
-    for (std::size_t ti = 0; ti < n; ++ti) {
-      timing.SetExecTime(static_cast<TaskId>(ti), initial_exec_[ti]);
-    }
-    timing.AssignBaseEdgeGaps(initial_edge_gaps_);
-    const TimeWindows& win = timing.Windows();
+    const TimeWindows& win = initial_timing_.Windows();
     initial_critical_.assign(n, 0);
     for (std::size_t ti = 0; ti < n; ++ti) {
       initial_critical_[ti] = win.critical[ti] ? 1 : 0;
@@ -135,8 +132,8 @@ PaContext::PaContext(const Instance& instance, const PaOptions& options)
   non_critical_fastest_ = non_critical_ids_;
   std::stable_sort(non_critical_fastest_.begin(), non_critical_fastest_.end(),
                    [&](TaskId a, TaskId b) {
-                     return initial_exec_[static_cast<std::size_t>(a)] <
-                            initial_exec_[static_cast<std::size_t>(b)];
+                     return initial_timing_.ExecTime(a) <
+                            initial_timing_.ExecTime(b);
                    });
 }
 

@@ -7,7 +7,9 @@
 //
 //   * Eq.-(4) resource weights and the Eq.-(3) normalization horizon;
 //   * the phase-A implementation selection (capacity never enters Eq. 3)
-//     with the resulting execution times and communication-overhead gaps;
+//     and a TimingContext holding its execution times, communication-
+//     overhead gaps and exact windows, which every restart adopts instead
+//     of sweeping;
 //   * the phase-B criticality snapshot (taken on the phase-A windows,
 //     which do not depend on capacity either);
 //   * the phase-C processing orders (critical by descending efficiency;
@@ -28,6 +30,7 @@
 
 #include "core/options.hpp"
 #include "taskgraph/taskgraph.hpp"
+#include "taskgraph/timing.hpp"
 
 namespace resched::pa {
 
@@ -47,12 +50,9 @@ class PaContext {
 
   // ---- phase A/B precompute ---------------------------------------------
   const std::vector<std::size_t>& InitialImpls() const { return initial_impl_; }
-  const std::vector<TimeT>& InitialExecTimes() const { return initial_exec_; }
-  /// Non-zero communication gaps on base edges under the phase-A domains.
-  const std::vector<std::pair<std::pair<TaskId, TaskId>, TimeT>>&
-  InitialEdgeGaps() const {
-    return initial_edge_gaps_;
-  }
+  /// Phase-A execution times and communication gaps with their windows
+  /// fully computed (read-only, so every worker may adopt it at once).
+  const TimingContext& InitialTiming() const { return initial_timing_; }
   /// Byte mask (1 = critical) — not vector<bool>: hot-path code indexes
   /// it per task and the byte form avoids the proxy/bit-extract cost.
   const std::vector<char>& InitialCriticalMask() const {
@@ -104,8 +104,7 @@ class PaContext {
   TimeT max_t_ = 0;
 
   std::vector<std::size_t> initial_impl_;
-  std::vector<TimeT> initial_exec_;
-  std::vector<std::pair<std::pair<TaskId, TaskId>, TimeT>> initial_edge_gaps_;
+  TimingContext initial_timing_;
   std::vector<char> initial_critical_;
 
   std::vector<TaskId> critical_eff_;

@@ -47,6 +47,15 @@ PaRResult SchedulePaR(const Instance& instance, const PaROptions& options,
   PaRResult result;
   Mutex best_mutex;
   TimeT best_makespan = kTimeInfinity;
+  // Ties on makespan go to the lowest iteration (the warm start counts as
+  // 0) — what one worker taking tickets in order keeps — so the best
+  // schedule itself, not only its makespan, is the same at any thread
+  // count.
+  std::size_t best_iter = 0;
+  const auto improves = [&](TimeT makespan, std::size_t iter) {
+    return makespan < best_makespan ||
+           (makespan == best_makespan && iter < best_iter);
+  };
 
   if (options.seed_with_deterministic) {
     PaOptions det = options.base;
@@ -98,7 +107,7 @@ PaRResult SchedulePaR(const Instance& instance, const PaROptions& options,
       // Fast path: not an improvement, skip the floorplanner entirely.
       {
         MutexLock lock(best_mutex);
-        if (candidate.makespan >= best_makespan) continue;
+        if (!improves(candidate.makespan, iter)) continue;
       }
 
       // Potential improvement: validate on the fabric (outside the lock).
@@ -111,14 +120,16 @@ PaRResult SchedulePaR(const Instance& instance, const PaROptions& options,
       if (!fp.feasible) continue;
 
       MutexLock lock(best_mutex);
-      if (candidate.makespan >= best_makespan) continue;  // raced: recheck
+      if (!improves(candidate.makespan, iter)) continue;  // raced: recheck
+      const bool lower = candidate.makespan < best_makespan;
       best_makespan = candidate.makespan;
+      best_iter = iter;
       candidate.floorplan = fp.rects;
       candidate.floorplan_checked = true;
       candidate.algorithm = "PA-R";
       result.best = std::move(candidate);
       result.found = true;
-      if (options.record_trace) {
+      if (options.record_trace && lower) {
         // Grows only on improvements — cold by definition.
         result.trace.push_back(  // resched-lint: allow(reserve-before-push-hot)
             TracePoint{deadline.ElapsedSeconds(), best_makespan, done_now});

@@ -9,9 +9,9 @@
 // As an extension over the paper, restarts can be fanned out over a thread
 // pool. Every *iteration* (ticket) draws its own deterministic RNG stream
 // (DeriveSeed(kParSeedStream ^ seed, iteration)), so for a fixed (seed,
-// max_iterations) configuration the set of candidates — and hence the best
-// makespan — is identical at any thread count; only which worker executes
-// an iteration varies.
+// max_iterations) configuration the set of candidates is identical at any
+// thread count; only which worker executes an iteration varies. Makespan
+// ties go to the lowest iteration, so the best schedule is identical too.
 //
 // Hot path (PR 4): all workers share one immutable PaContext and one
 // concurrent FloorplanCache; each worker reuses a private PaScratch, so a

@@ -31,9 +31,7 @@ namespace {
 using PendingReconf = StageBuffers::PendingReconf;
 
 TimeT EndOf(const PaScratch& s, TaskId t) {
-  const TimeWindows& win = s.Timing().Windows();
-  return win.earliest_start[static_cast<std::size_t>(t)] +
-         s.Timing().ExecTime(t);
+  return s.Timing().EarliestStart(t) + s.Timing().ExecTime(t);
 }
 
 /// Dense reachability over the task graph plus the scheduler's ordering
@@ -129,7 +127,9 @@ void RunReconfigurationScheduling(const PaContext& ctx, PaScratch& s) {
   ArenaVec<ReconfSlot>& timeline = buf.timeline;  // sorted by start
   timeline.clear();
 
-  // ---- build the reconfiguration task set RT.
+  // ---- build the reconfiguration task set RT. Criticality is the one
+  // T_MAX-derived input of the whole pipeline; this is where the lazy
+  // backward sweep runs.
   ArenaVec<PendingReconf>& pending = buf.pending;
   pending.clear();
   {
@@ -247,7 +247,7 @@ void RunReconfigurationScheduling(const PaContext& ctx, PaScratch& s) {
     lane.index.Set(s.TimeBucketLo(start), s.TimeBucketHi(end));
 
     // Delay propagation: the outgoing task cannot start before the
-    // reconfiguration completes; the window recomputation carries the
+    // reconfiguration completes; the incremental T_MIN update carries the
     // delay over the task graph.
     s.Timing().RaiseRelease(r.t_out, end);
 

@@ -4,7 +4,7 @@
 // each goes to the core generating the least delay (Eq. 8 — with the min{}
 // of the paper read as max{}: a delay is non-negative) and a serialization
 // edge from the core's latest-ending task enforces the ordering, so Eq. (9)
-// and the delay propagation of step 4 fall out of the window recomputation.
+// and the delay propagation of step 4 fall out of the window update.
 #include <algorithm>
 
 #include "core/pa_state.hpp"
@@ -23,11 +23,11 @@ void RunSoftwareTaskMapping(const PaContext& ctx, PaScratch& s) {
     if (!s.ChosenIsHardware(t)) sw_tasks.push_back(t);
   }
   {
-    const TimeWindows& win = s.Timing().Windows();
+    const std::vector<TimeT>& es = s.Timing().EarliestStarts();
     std::stable_sort(sw_tasks.begin(), sw_tasks.end(),
                      [&](TaskId a, TaskId b) {
-                       return win.earliest_start[static_cast<std::size_t>(a)] <
-                              win.earliest_start[static_cast<std::size_t>(b)];
+                       return es[static_cast<std::size_t>(a)] <
+                              es[static_cast<std::size_t>(b)];
                      });
   }
 
@@ -36,8 +36,8 @@ void RunSoftwareTaskMapping(const PaContext& ctx, PaScratch& s) {
   last_on_core.assign(cores, kInvalidTask);
 
   for (const TaskId t : sw_tasks) {
-    const TimeWindows& win = s.Timing().Windows();
-    const TimeT es_t = win.earliest_start[static_cast<std::size_t>(t)];
+    const std::vector<TimeT>& es = s.Timing().EarliestStarts();
+    const TimeT es_t = es[static_cast<std::size_t>(t)];
 
     // Eq. (8): lambda_p = max{0, max_{t2 in T_p}(T_END_t2 - T_MIN_t)}. With
     // chronological processing, the latest-ending task on the core attains
@@ -49,7 +49,7 @@ void RunSoftwareTaskMapping(const PaContext& ctx, PaScratch& s) {
       if (last_on_core[p] != kInvalidTask) {
         const auto li = static_cast<std::size_t>(last_on_core[p]);
         const TimeT end_last =
-            win.earliest_start[li] + s.Timing().ExecTime(last_on_core[p]);
+            es[li] + s.Timing().ExecTime(last_on_core[p]);
         delay = std::max<TimeT>(0, end_last - es_t);
       }
       if (p == 0 || delay < best_delay) {
@@ -68,7 +68,7 @@ void RunSoftwareTaskMapping(const PaContext& ctx, PaScratch& s) {
     s.SetProcessor(t, best_core);
     if (last_on_core[best_core] != kInvalidTask) {
       // Eq. (9) + step 4: the ordering edge makes T_START = T_MIN +
-      // lambda_p and propagates any delay through the window recomputation.
+      // lambda_p and propagates any delay through the window update.
       s.Timing().AddOrderingEdge(last_on_core[best_core], t, /*gap=*/0);
     }
     last_on_core[best_core] = t;

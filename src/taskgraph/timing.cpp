@@ -1,6 +1,7 @@
 #include "taskgraph/timing.hpp"
 
 #include <algorithm>
+#include <functional>
 
 namespace resched {
 
@@ -48,6 +49,10 @@ TimingContext::TimingContext(const TaskGraph& graph)
   succ_off_[n] = succ_task_.size();
   pred_gap_.assign(pred_task_.size(), 0);
   succ_gap_.assign(succ_task_.size(), 0);
+  windows_.earliest_start.assign(n, 0);
+  windows_.latest_finish.assign(n, 0);
+  windows_.critical.assign(n, false);
+  heap_.reserve(n);
 }
 
 void TimingContext::WriteCsrGap(TaskId from, TaskId to, TimeT gap) {
@@ -75,6 +80,20 @@ void TimingContext::ClearCsrGaps() {
   have_base_gaps_ = false;
 }
 
+void TimingContext::MarkStale() {
+  stale_ = true;
+  backward_stale_ = true;
+  ++version_;
+}
+
+std::uint32_t TimingContext::NextStamp() const {
+  if (++stamp_ == 0) {  // stamp wrapped: invalidate everything once
+    std::fill(visit_stamp_.begin(), visit_stamp_.end(), 0u);
+    stamp_ = 1;
+  }
+  return stamp_;
+}
+
 void TimingContext::Reset() {
   std::fill(exec_.begin(), exec_.end(), TimeT{0});
   std::fill(release_.begin(), release_.end(), TimeT{0});
@@ -83,29 +102,112 @@ void TimingContext::Reset() {
   extra_.clear();
   for (auto& out : extra_out_) out.clear();
   for (auto& in : extra_in_) in.clear();
-  dirty_ = true;
+  order_stale_ = true;
+  MarkStale();
+}
+
+void TimingContext::AdoptBaseState(const TimingContext& source) {
+  RESCHED_CHECK_MSG(source.graph_ == graph_,
+                    "AdoptBaseState across different graphs");
+  RESCHED_CHECK_MSG(!source.stale_, "AdoptBaseState from a stale source");
+  RESCHED_CHECK_MSG(extra_.empty() && source.extra_.empty(),
+                    "AdoptBaseState with ordering edges present");
+  // Same-size vector copies reuse this context's storage.
+  exec_ = source.exec_;
+  release_ = source.release_;
+  base_gaps_ = source.base_gaps_;
+  if (source.have_base_gaps_) {
+    pred_gap_ = source.pred_gap_;
+    succ_gap_ = source.succ_gap_;
+    have_base_gaps_ = true;
+  } else {
+    ClearCsrGaps();
+  }
+  windows_.earliest_start = source.windows_.earliest_start;
+  windows_.makespan = source.windows_.makespan;
+  stale_ = false;
+  backward_stale_ = true;
+  ++version_;
 }
 
 void TimingContext::SetExecTime(TaskId t, TimeT exec) {
   RESCHED_CHECK_MSG(exec > 0, "execution time must be positive");
-  exec_.at(static_cast<std::size_t>(t)) = exec;
-  dirty_ = true;
+  const auto ti = static_cast<std::size_t>(t);
+  TimeT& slot = exec_.at(ti);
+  if (exec == slot) return;
+  const bool rising = exec > slot;
+  slot = exec;
+  if (stale_ || !rising) {
+    MarkStale();
+    return;
+  }
+  // A longer task keeps its own start and pushes its successors.
+  ++version_;
+  backward_stale_ = true;
+  windows_.makespan =
+      std::max(windows_.makespan, windows_.earliest_start[ti] + exec);
+  queued_ = NextStamp();
+  RelaxSuccessors(t);
+  Propagate();
 }
 
 TimeT TimingContext::ExecTime(TaskId t) const {
   return exec_.at(static_cast<std::size_t>(t));
 }
 
+void TimingContext::Raise(TaskId t, TimeT start) {
+  const auto ti = static_cast<std::size_t>(t);
+  TimeT& es = windows_.earliest_start[ti];
+  if (start <= es) return;
+  if (visit_stamp_[ti] != queued_) {
+    // Keyed by the pre-edit T_MIN: exact before the edit, strictly rising
+    // along every edge, hence a topological order of the affected set.
+    visit_stamp_[ti] = queued_;
+    heap_.emplace_back(es, t);
+    std::push_heap(heap_.begin(), heap_.end(), std::greater<>());
+  }
+  es = start;
+  windows_.makespan = std::max(windows_.makespan, start + exec_[ti]);
+  ++version_;
+  backward_stale_ = true;
+}
+
+void TimingContext::RelaxSuccessors(TaskId t) {
+  const auto ti = static_cast<std::size_t>(t);
+  const TimeT finish = windows_.earliest_start[ti] + exec_[ti];
+  for (std::size_t e = succ_off_[ti]; e < succ_off_[ti + 1]; ++e) {
+    Raise(succ_task_[e], finish + succ_gap_[e]);
+  }
+  for (const std::size_t e : extra_out_[ti]) {
+    Raise(extra_[e].to, finish + extra_[e].gap);
+  }
+}
+
+void TimingContext::RaiseAndPropagate(TaskId t, TimeT start) {
+  queued_ = NextStamp();
+  Raise(t, start);
+  Propagate();
+}
+
+void TimingContext::Propagate() {
+  // Every predecessor of a popped task is either outside the affected set
+  // (final before the edit) or has a smaller pre-edit key (popped first),
+  // so each task is relaxed exactly once, with its final T_MIN.
+  while (!heap_.empty()) {
+    std::pop_heap(heap_.begin(), heap_.end(), std::greater<>());
+    const TaskId t = heap_.back().second;
+    heap_.pop_back();
+    RelaxSuccessors(t);
+  }
+}
+
 bool TimingContext::Reaches(TaskId from, TaskId to) const {
   if (from == to) return true;
   // Epoch-stamped iterative DFS — no per-call allocation after warm-up.
-  if (++stamp_ == 0) {  // stamp wrapped: invalidate everything once
-    std::fill(visit_stamp_.begin(), visit_stamp_.end(), 0u);
-    stamp_ = 1;
-  }
+  const std::uint32_t stamp = NextStamp();
   dfs_stack_.clear();
   dfs_stack_.push_back(from);
-  visit_stamp_[static_cast<std::size_t>(from)] = stamp_;
+  visit_stamp_[static_cast<std::size_t>(from)] = stamp;
   while (!dfs_stack_.empty()) {
     const auto ui = static_cast<std::size_t>(dfs_stack_.back());
     dfs_stack_.pop_back();
@@ -113,8 +215,8 @@ bool TimingContext::Reaches(TaskId from, TaskId to) const {
       const TaskId v = succ_task_[e];
       if (v == to) return true;
       auto& seen = visit_stamp_[static_cast<std::size_t>(v)];
-      if (seen != stamp_) {
-        seen = stamp_;
+      if (seen != stamp) {
+        seen = stamp;
         dfs_stack_.push_back(v);
       }
     }
@@ -122,8 +224,8 @@ bool TimingContext::Reaches(TaskId from, TaskId to) const {
       const TaskId v = extra_[e].to;
       if (v == to) return true;
       auto& seen = visit_stamp_[static_cast<std::size_t>(v)];
-      if (seen != stamp_) {
-        seen = stamp_;
+      if (seen != stamp) {
+        seen = stamp;
         dfs_stack_.push_back(v);
       }
     }
@@ -134,23 +236,32 @@ bool TimingContext::Reaches(TaskId from, TaskId to) const {
 void TimingContext::AddOrderingEdge(TaskId from, TaskId to, TimeT gap) {
   RESCHED_CHECK_MSG(gap >= 0, "negative ordering gap");
   RESCHED_CHECK_MSG(from != to, "self ordering edge");
-  // Eager cycle check *before* inserting: the edge closes a cycle exactly
-  // when `to` already reaches `from`.
-  RESCHED_CHECK_MSG(!Reaches(to, from),
-                    "ordering edges introduced a cycle (scheduler bug)");
+  const auto fi = static_cast<std::size_t>(from);
+  const auto ti = static_cast<std::size_t>(to);
+  // The edge closes a cycle exactly when `to` already reaches `from`. Any
+  // path to ~> from strictly raises T_MIN, so exact windows with
+  // es[from] <= es[to] rule it out in O(1); otherwise search.
+  const std::vector<TimeT>& es = windows_.earliest_start;
+  if (stale_ || es.at(fi) > es.at(ti)) {
+    ++cycle_searches_;
+    RESCHED_CHECK_MSG(!Reaches(to, from),
+                      "ordering edges introduced a cycle (scheduler bug)");
+  }
   const std::size_t index = extra_.size();
   extra_.push_back(OrderingEdge{from, to, gap});
-  extra_out_[static_cast<std::size_t>(from)].push_back(index);
-  extra_in_[static_cast<std::size_t>(to)].push_back(index);
-  dirty_ = true;
+  extra_out_[fi].push_back(index);
+  extra_in_[ti].push_back(index);
+  order_stale_ = true;
+  // The edge bounds T_MAX of `from` even when no T_MIN moves.
+  backward_stale_ = true;
+  if (!stale_) RaiseAndPropagate(to, es[fi] + exec_[fi] + gap);
 }
 
 void TimingContext::RaiseRelease(TaskId t, TimeT release) {
   auto& r = release_.at(static_cast<std::size_t>(t));
-  if (release > r) {
-    r = release;
-    dirty_ = true;
-  }
+  if (release <= r) return;
+  r = release;
+  if (!stale_) RaiseAndPropagate(t, release);  // else the sweep reads it
 }
 
 TimeT TimingContext::Release(TaskId t) const {
@@ -165,8 +276,10 @@ void TimingContext::SetBaseEdgeGap(TaskId from, TaskId to, TimeT gap) {
   const auto it =
       std::lower_bound(base_gaps_.begin(), base_gaps_.end(), key, GapKeyLess);
   const bool present = it != base_gaps_.end() && it->first == key;
+  const TimeT old = present ? it->second : 0;
+  if (gap == old) return;
   if (gap == 0) {
-    if (present) base_gaps_.erase(it);
+    base_gaps_.erase(it);
   } else if (present) {
     it->second = gap;
   } else {
@@ -174,7 +287,13 @@ void TimingContext::SetBaseEdgeGap(TaskId from, TaskId to, TimeT gap) {
   }
   WriteCsrGap(from, to, gap);
   have_base_gaps_ = !base_gaps_.empty();
-  dirty_ = true;
+  if (stale_ || gap < old) {
+    MarkStale();
+    return;
+  }
+  backward_stale_ = true;
+  const auto fi = static_cast<std::size_t>(from);
+  RaiseAndPropagate(to, windows_.earliest_start[fi] + exec_[fi] + gap);
 }
 
 TimeT TimingContext::BaseEdgeGap(TaskId from, TaskId to) const {
@@ -196,10 +315,11 @@ void TimingContext::AssignBaseEdgeGaps(
                       "AssignBaseEdgeGaps on a missing edge");
     WriteCsrGap(key.first, key.second, gap);
   }
-  dirty_ = true;
+  MarkStale();
 }
 
 const std::vector<TaskId>& TimingContext::CombinedTopologicalOrderRef() const {
+  if (!order_stale_) return kahn_order_;
   const std::size_t n = exec_.size();
   kahn_indegree_.resize(n);
   for (std::size_t t = 0; t < n; ++t) {
@@ -227,6 +347,7 @@ const std::vector<TaskId>& TimingContext::CombinedTopologicalOrderRef() const {
   }
   RESCHED_CHECK_MSG(kahn_order_.size() == n,
                     "ordering edges introduced a cycle (scheduler bug)");
+  order_stale_ = false;
   return kahn_order_;
 }
 
@@ -234,12 +355,7 @@ std::vector<TaskId> TimingContext::CombinedTopologicalOrder() const {
   return CombinedTopologicalOrderRef();
 }
 
-const TimeWindows& TimingContext::Windows() const {
-  if (dirty_) Recompute();
-  return windows_;
-}
-
-void TimingContext::Recompute() const {
+void TimingContext::RecomputeForward() const {
   const std::size_t n = exec_.size();
   for (std::size_t t = 0; t < n; ++t) {
     RESCHED_CHECK_MSG(exec_[t] > 0,
@@ -247,14 +363,11 @@ void TimingContext::Recompute() const {
   }
   const std::vector<TaskId>& order = CombinedTopologicalOrderRef();
 
-  windows_.earliest_start.assign(n, 0);
-  windows_.latest_finish.assign(n, 0);
-  windows_.critical.assign(n, false);
-
-  // Forward sweep: T_MIN. The CSR gap arrays are all-zero unless the
+  // T_MIN. The CSR gap arrays are all-zero unless the
   // communication-overhead extension is active, so the common case is a
   // pure `es[p] + exec[p]` reduction over a contiguous slice.
   auto& es = windows_.earliest_start;
+  TimeT makespan = 0;
   for (const TaskId t : order) {
     const auto ti = static_cast<std::size_t>(t);
     TimeT start = release_[ti];
@@ -267,17 +380,23 @@ void TimingContext::Recompute() const {
       start = std::max(start, es[pi] + exec_[pi] + extra_[e].gap);
     }
     es[ti] = start;
-  }
-
-  TimeT makespan = 0;
-  for (std::size_t t = 0; t < n; ++t) {
-    makespan = std::max(makespan, es[t] + exec_[t]);
+    makespan = std::max(makespan, start + exec_[ti]);
   }
   windows_.makespan = makespan;
+  stale_ = false;
+  backward_stale_ = true;
+  ++full_sweeps_;
+}
 
-  // Backward sweep: T_MAX.
+const TimeWindows& TimingContext::Windows() const {
+  if (stale_) RecomputeForward();
+  if (!backward_stale_) return windows_;
+
+  // T_MAX, against the current makespan.
+  const std::vector<TaskId>& order = CombinedTopologicalOrderRef();
+  const auto& es = windows_.earliest_start;
   auto& lf = windows_.latest_finish;
-  lf.assign(n, makespan);
+  lf.assign(lf.size(), windows_.makespan);
   for (auto it = order.rbegin(); it != order.rend(); ++it) {
     const auto ti = static_cast<std::size_t>(*it);
     TimeT finish = lf[ti];
@@ -291,12 +410,11 @@ void TimingContext::Recompute() const {
     }
     lf[ti] = finish;
   }
-
-  for (std::size_t t = 0; t < n; ++t) {
+  for (std::size_t t = 0; t < lf.size(); ++t) {
     windows_.critical[t] = (lf[t] - es[t] == exec_[t]);
   }
-  ++version_;
-  dirty_ = false;
+  backward_stale_ = false;
+  return windows_;
 }
 
 }  // namespace resched

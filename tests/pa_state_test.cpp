@@ -222,14 +222,21 @@ TEST(PaStateTest, AdoptedPrecomputeMatchesContext) {
   Fixture f;
   PaScratch& state = f.MakeState(f.instance.platform.Device().Capacity());
   state.Reset(f.instance.platform.Device().Capacity());
+  const std::uint64_t sweeps = state.Timing().FullSweeps();
   state.AdoptInitialImplementations();
   state.AdoptInitialCriticality();
   const PaContext& ctx = *f.ctx;
+  // The phase-A windows arrive exact with the install: reading them runs
+  // no sweep.
+  EXPECT_EQ(state.Timing().EarliestStarts(),
+            ctx.InitialTiming().EarliestStarts());
+  EXPECT_EQ(state.Timing().Makespan(), ctx.InitialTiming().Makespan());
+  EXPECT_EQ(state.Timing().FullSweeps(), sweeps);
   for (std::size_t t = 0; t < f.instance.graph.NumTasks(); ++t) {
     EXPECT_EQ(state.ImplIndex(static_cast<TaskId>(t)),
               ctx.InitialImpls()[t]);
     EXPECT_EQ(state.Timing().ExecTime(static_cast<TaskId>(t)),
-              ctx.InitialExecTimes()[t]);
+              ctx.InitialTiming().ExecTime(static_cast<TaskId>(t)));
     EXPECT_EQ(state.WasCritical(static_cast<TaskId>(t)),
               ctx.InitialCriticalMask()[t]);
   }
