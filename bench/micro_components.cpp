@@ -5,6 +5,7 @@
 #include <benchmark/benchmark.h>
 
 #include "bench_common.hpp"
+#include "floorplan/floorplan_cache.hpp"
 #include "taskgraph/timing.hpp"
 
 using namespace resched;
@@ -111,6 +112,88 @@ void BM_EnumeratePlacements(benchmark::State& state) {
 }
 BENCHMARK(BM_EnumeratePlacements)->Args({0, 500})->Args({0, 2000})
     ->Args({0, 6000});
+
+/// Catalog builds (enumeration + dominance prune + footprints) over a
+/// fixed mix of 32 requirements, each a fraction of the fabric capacity.
+/// Arg 0: ZedBoard, 1: ZCU102.
+void BM_PlacementCatalog(benchmark::State& state) {
+  const FpgaDevice device = state.range(0) == 0 ? MakeXc7z020() : MakeZu9eg();
+  const Fabric fabric(device);
+  const ResourceVec& cap = fabric.Capacity();
+  std::vector<ResourceVec> reqs;
+  for (std::int64_t i = 0; i < 32; ++i) {
+    reqs.push_back(ResourceVec({cap[0] * (i % 8 + 1) / 40,
+                                cap[1] * (i % 4) / 30, cap[2] * (i % 3) / 30}));
+  }
+  for (auto _ : state) {
+    for (const ResourceVec& req : reqs) {
+      benchmark::DoNotOptimize(EnumeratePrunedPlacementSet(fabric, req, 4096));
+    }
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(reqs.size()));
+}
+BENCHMARK(BM_PlacementCatalog)->Arg(0)->Arg(1);
+
+/// The first query deterministic PA asks on suite seed 3 (ZedBoard) that
+/// exhausts the default 2M-node budget, in canonical order.
+std::vector<ResourceVec> FirstBurnedSuiteQuery() {
+  SuiteSpec spec;
+  spec.base_seed = 3;
+  PaOptions options;
+  options.floorplan.time_budget_seconds = 0.0;
+  for (std::size_t n = spec.min_tasks; n <= spec.max_tasks; n += spec.step) {
+    for (const Instance& inst : GenerateSuiteGroup(MakeZedBoard(), spec, n)) {
+      Rng rng(options.seed);
+      ResourceVec avail = inst.platform.Device().Capacity();
+      for (std::size_t round = 0; round < options.max_shrink_rounds;
+           ++round) {
+        const Schedule s = RunPaCore(inst, options, avail, rng);
+        const std::vector<ResourceVec> regions = s.RegionRequirements();
+        const FloorplanResult r =
+            FindFloorplan(inst.platform.Device(), regions, options.floorplan);
+        if (r.budget_exhausted) {
+          std::vector<ResourceVec> canonical;
+          for (const std::size_t i : CanonicalRegionOrder(regions)) {
+            canonical.push_back(regions[i]);
+          }
+          return canonical;
+        }
+        if (r.feasible) break;
+        avail = avail.ScaledDown(options.shrink_factor);
+      }
+    }
+  }
+  return {};
+}
+
+/// One budget-exhausted DFS (2M nodes, no wall-clock limit) over
+/// prebuilt catalogs: the floorplan cost that dominates suite_pa.
+void BM_FloorplanBurn(benchmark::State& state) {
+  const std::vector<ResourceVec> query = FirstBurnedSuiteQuery();
+  if (query.empty()) {
+    state.SkipWithError("no budget-exhausted query on suite seed 3");
+    return;
+  }
+  FloorplanCache cache(MakeXc7z020());
+  std::vector<std::shared_ptr<const PlacementSet>> owned;
+  std::vector<const PlacementSet*> sets;
+  for (const ResourceVec& req : query) {
+    owned.push_back(cache.Placements(req, 4096));
+    sets.push_back(owned.back().get());
+  }
+  FloorplanOptions options;
+  options.time_budget_seconds = 0.0;
+  FloorplanResult last;
+  for (auto _ : state) {
+    last = SolveFloorplanFeasibility(cache.fabric(), sets, options);
+    benchmark::DoNotOptimize(last.nodes_explored);
+  }
+  state.counters["regions"] = static_cast<double>(query.size());
+  state.counters["nodes"] = static_cast<double>(last.nodes_explored);
+  state.counters["replayed"] = static_cast<double>(last.replayed_nodes);
+}
+BENCHMARK(BM_FloorplanBurn)->Unit(benchmark::kMillisecond);
 
 void BM_FloorplanFeasible(benchmark::State& state) {
   const FpgaDevice device = MakeXc7z020();

@@ -53,9 +53,16 @@ Schedule SchedulePaWarm(const pa::PaContext& ctx, pa::PaScratch& scratch,
   double scheduling_seconds = 0.0;
   double floorplanning_seconds = 0.0;
 
+  // A private cache serves one call: at most max_shrink_rounds + 1
+  // verdicts and the catalogs of their regions' requirements (~27 per
+  // call on the paper suite). The default capacities (4096 verdicts,
+  // 1024 catalogs) cost more to allocate and free than a light solve
+  // spends searching. 256 slots each (16 per shard, 8-slot probe
+  // window) leave the suite's verdict and catalog hit rates unchanged.
   std::optional<FloorplanCache> own_cache;
   if (cache == nullptr && options.floorplan_cache && options.run_floorplan) {
-    own_cache.emplace(instance.platform.Device());
+    own_cache.emplace(instance.platform.Device(), /*verdict_capacity=*/256,
+                      /*catalog_capacity=*/256);
   }
   FloorplanCache* fp_cache = cache != nullptr ? cache : (own_cache ? &*own_cache : nullptr);
   const FloorplanCacheStats stats_before =

@@ -29,6 +29,12 @@ class Fabric {
   /// Whole-fabric capacity.
   const ResourceVec& Capacity() const { return capacity_; }
 
+  /// Per-row column prefix sums of kind `kind`: element c is the units
+  /// of that kind in columns [0, c) of one row (Columns() + 1 values).
+  const std::int64_t* KindPrefix(std::size_t kind) const {
+    return prefix_[kind].data();
+  }
+
  private:
   // Owned copy: Fabric outlives any (possibly temporary) device it was
   // built from.

@@ -147,6 +147,13 @@ FloorplanResult FloorplanCache::Query(const std::vector<ResourceVec>& regions,
     FloorplanResult solved =
         SolveFloorplanFeasibility(fabric_, candidates, options);
     solve_nodes_.fetch_add(solved.nodes_explored, std::memory_order_relaxed);
+    replayed_nodes_.fetch_add(solved.replayed_nodes,
+                              std::memory_order_relaxed);
+    result.replayed_nodes = solved.replayed_nodes;
+    result.stopped_in_replay = solved.stopped_in_replay;
+    if (solved.budget_exhausted) {
+      budget_exhausted_.fetch_add(1, std::memory_order_relaxed);
+    }
     verdict.feasible = solved.feasible;
     verdict.budget_exhausted = solved.budget_exhausted;
     verdict.nodes = solved.nodes_explored;
@@ -183,6 +190,8 @@ FloorplanCacheStats FloorplanCache::Stats() const {
   s.catalog_hits = c.hits;
   s.catalog_misses = c.misses;
   s.solve_nodes = solve_nodes_.load(std::memory_order_relaxed);
+  s.budget_exhausted = budget_exhausted_.load(std::memory_order_relaxed);
+  s.replayed_nodes = replayed_nodes_.load(std::memory_order_relaxed);
   return s;
 }
 

@@ -48,9 +48,9 @@ class FloorplanCache {
   FloorplanResult Query(const std::vector<ResourceVec>& regions,
                         const FloorplanOptions& options);
 
-  /// Pruned candidate rectangles (with occupancy masks) for one
-  /// requirement, memoized. Exposed for tests and for callers that
-  /// enumerate without solving.
+  /// Pruned candidate rectangles of one requirement, with their
+  /// footprints, minimal footprint and area and union mask, memoized.
+  /// Exposed for tests and for callers that enumerate without solving.
   std::shared_ptr<const PlacementSet> Placements(const ResourceVec& req,
                                                 std::size_t max_placements);
 
@@ -98,8 +98,11 @@ class FloorplanCache {
       catalog_;
   ConcurrentMemoMap<VerdictKey, Verdict, VerdictKeyHash, VerdictKeyEq>
       verdicts_;
-  /// DFS nodes spent by cache-miss solves (FloorplanCacheStats::solve_nodes).
+  /// Cache-miss solve totals (FloorplanCacheStats::solve_nodes,
+  /// budget_exhausted, replayed_nodes).
   std::atomic<std::uint64_t> solve_nodes_{0};
+  std::atomic<std::uint64_t> budget_exhausted_{0};
+  std::atomic<std::uint64_t> replayed_nodes_{0};
 };
 
 }  // namespace resched

@@ -13,81 +13,6 @@ namespace resched {
 
 namespace {
 
-/// Removes placements that strictly contain another placement of the same
-/// region: the contained one can always replace the container in any
-/// solution, so containers are dominated for a feasibility query.
-///
-/// `placements` is EnumerateFeasiblePlacements output or a prefix of it
-/// (under a cap), so within one (height, row0) bucket the rectangles come
-/// in ascending col0 and their right edges never decrease. Rectangle
-/// (c, r, w, h) therefore contains another iff, for some h' <= h and some
-/// r' in [r, r + h - h'], the first *other* rectangle of bucket (h', r')
-/// with col0 >= c ends at or before c + w: that one has the smallest right
-/// edge of the bucket's candidates. One probe per bucket gives O(n * H^2)
-/// for H fabric rows. The enumeration never emits a rectangle twice, so
-/// containing another rectangle always means strictly more area.
-void PruneDominated(const Fabric& fabric, std::vector<Rect>& placements) {
-  const std::size_t rows = fabric.Rows();
-  const std::size_t cols = fabric.Columns();
-  const auto bucket_of = [rows](std::size_t height, std::size_t row0) {
-    return (height - 1) * rows + row0;
-  };
-  // Bucket b holds members[begin[b] .. begin[b + 1]): indices into
-  // `placements`, ascending (hence ascending col0). slot[i] is the
-  // position of placement i within its bucket.
-  const std::size_t num_buckets = rows * rows;
-  std::vector<std::uint32_t> begin(num_buckets + 1, 0);
-  for (const Rect& r : placements) ++begin[bucket_of(r.height, r.row0) + 1];
-  std::partial_sum(begin.begin(), begin.end(), begin.begin());
-  std::vector<std::uint32_t> members(placements.size());
-  std::vector<std::uint32_t> slot(placements.size());
-  std::vector<std::uint32_t> fill(begin.begin(), begin.end() - 1);
-  for (std::size_t i = 0; i < placements.size(); ++i) {
-    const std::size_t b = bucket_of(placements[i].height, placements[i].row0);
-    RESCHED_DCHECK_MSG(
-        fill[b] == begin[b] ||
-            placements[members[fill[b] - 1]].col0 < placements[i].col0,
-        "placements are not in enumeration order");
-    slot[i] = fill[b] - begin[b];
-    members[fill[b]++] = static_cast<std::uint32_t>(i);
-  }
-  // first[b * cols + c]: position in bucket b of its first rectangle with
-  // col0 >= c (the bucket size when there is none).
-  std::vector<std::uint32_t> first(num_buckets * cols);
-  for (std::size_t b = 0; b < num_buckets; ++b) {
-    const std::uint32_t* bucket = members.data() + begin[b];
-    std::uint32_t pos = begin[b + 1] - begin[b];
-    for (std::size_t c = cols; c-- > 0;) {
-      while (pos > 0 && placements[bucket[pos - 1]].col0 >= c) --pos;
-      first[b * cols + c] = pos;
-    }
-  }
-  std::vector<Rect> kept;
-  kept.reserve(placements.size());
-  for (std::size_t i = 0; i < placements.size(); ++i) {
-    const Rect& cand = placements[i];
-    const std::size_t own = bucket_of(cand.height, cand.row0);
-    const std::size_t right = cand.col0 + cand.width;
-    bool dominated = false;
-    for (std::size_t h = 1; h <= cand.height && !dominated; ++h) {
-      for (std::size_t r = cand.row0; r + h <= cand.row0 + cand.height; ++r) {
-        const std::size_t b = bucket_of(h, r);
-        std::size_t pos = first[b * cols + cand.col0];
-        if (b == own) pos = slot[i] + 1;  // skip the candidate itself
-        if (pos < begin[b + 1] - begin[b]) {
-          const Rect& inner = placements[members[begin[b] + pos]];
-          if (inner.col0 + inner.width <= right) {
-            dominated = true;
-            break;
-          }
-        }
-      }
-    }
-    if (!dominated) kept.push_back(cand);
-  }
-  placements.swap(kept);
-}
-
 void SetBit(std::uint64_t* words, std::size_t i) {
   words[i / timeline::kWordBits] |= std::uint64_t{1}
                                     << (i % timeline::kWordBits);
@@ -297,6 +222,85 @@ class Domain {
   std::vector<Threshold> limits_;
 };
 
+/// Failed-subtree memo of the DFS: (depth, occupancy image) -> the node
+/// count of a subtree that was searched to the end without success.
+///
+/// That pair fixes everything below it: a candidate is live iff it misses
+/// the image, consumption per kind and used cells are sums over the
+/// image's cells, and the union-mask prune reads only the image. So a
+/// failed subtree fails again from the same key, after exactly as many
+/// nodes. One table per thread serves every query that thread runs: a
+/// query starts a new generation, which hides older entries without
+/// clearing them, so a query that never fails a subtree pays nothing. A
+/// full probe window stores nothing; a replay is only ever a shortcut.
+class TranspositionTable {
+ public:
+  static constexpr std::size_t kSlots = kFloorplanMemoSlots;
+  static_assert(std::has_single_bit(kSlots));
+  static constexpr std::size_t kProbes = 4;
+
+  /// Starts a query whose images are `words` words long.
+  void Begin(std::size_t words) {
+    ++generation_;
+    words_ = words;
+  }
+
+  static std::uint64_t Hash(std::size_t depth, const std::uint64_t* image,
+                            std::size_t words) {
+    std::uint64_t h = 0x9E3779B97F4A7C15ULL * (depth + 1);
+    for (std::size_t w = 0; w < words; ++w) {
+      h = (h ^ image[w]) * 0xBF58476D1CE4E5B9ULL;
+      h ^= h >> 29;
+    }
+    return h;
+  }
+
+  /// The stored node count of (depth, image), or 0 when there is none (a
+  /// failed subtree always counts its region's candidates, so >= 1).
+  std::size_t Find(std::uint64_t hash, std::size_t depth,
+                   const std::uint64_t* image) const {
+    if (slots_.empty()) return 0;
+    for (std::size_t p = 0; p < kProbes; ++p) {
+      const std::size_t i = (hash + p) & (kSlots - 1);
+      const Slot& slot = slots_[i];
+      if (slot.generation == generation_ && slot.hash == hash &&
+          slot.depth == depth &&
+          std::equal(image, image + words_, images_.data() + i * words_)) {
+        return slot.nodes;
+      }
+    }
+    return 0;
+  }
+
+  void Store(std::uint64_t hash, std::size_t depth,
+             const std::uint64_t* image, std::size_t nodes) {
+    if (slots_.empty()) slots_.resize(kSlots);
+    if (images_.size() < kSlots * words_) images_.resize(kSlots * words_);
+    for (std::size_t p = 0; p < kProbes; ++p) {
+      const std::size_t i = (hash + p) & (kSlots - 1);
+      Slot& slot = slots_[i];
+      if (slot.generation == generation_) continue;
+      slot = Slot{generation_, hash, depth, nodes};
+      std::copy_n(image, words_, images_.data() + i * words_);
+      return;
+    }
+  }
+
+ private:
+  struct Slot {
+    std::uint64_t generation = 0;
+    std::uint64_t hash = 0;
+    std::size_t depth = 0;
+    std::size_t nodes = 0;
+  };
+
+  std::uint64_t generation_ = 0;
+  std::size_t words_ = 0;
+  std::vector<Slot> slots_;
+  /// Image of slot i at [i * words_, (i + 1) * words_).
+  std::vector<std::uint64_t> images_;
+};
+
 /// The §V-H feasibility DFS over bitset domains. At each depth the region's
 /// *live set* holds its candidates that clash with no placed rectangle
 /// (maintained on descent); AND-ing it with the area and per-kind
@@ -306,9 +310,11 @@ class Domain {
 ///
 /// Node accounting contract: every candidate counts as one node whether it
 /// passes or not, in index order, and the node/time budget is checked at
-/// every multiple of kCheckEvery nodes, stopping there. So the search
-/// visits, reports and stops exactly as a candidate-by-candidate scan with
-/// `if (++nodes % kCheckEvery == 0) check()` would.
+/// every multiple of kCheckEvery nodes, stopping there. A subtree replayed
+/// from the TranspositionTable counts its recorded nodes the same way. So
+/// the search visits, reports and stops exactly as a
+/// candidate-by-candidate scan with `if (++nodes % kCheckEvery == 0)
+/// check()` would.
 class Search {
  public:
   static constexpr std::size_t kCheckEvery = 1024;
@@ -377,12 +383,16 @@ class Search {
     used_stack_.assign((n + 1) * mask_words_, 0);
     consumed_stack_.assign((n + 1) * kinds_, 0);
 
+    memo_.Begin(mask_words_);
     const bool ok = Dfs(0, /*used_cells=*/0);
     budget_exhausted = budget_exhausted_;
     nodes = nodes_;
     if (ok) solution = chosen_;
     return ok;
   }
+
+  std::size_t ReplayedNodes() const { return replayed_nodes_; }
+  bool StoppedInReplay() const { return stopped_in_replay_; }
 
  private:
   /// Builds one Domain per distinct candidate list (duplicate regions share
@@ -414,19 +424,41 @@ class Search {
 
   /// Counts the next `count` candidates as visited nodes; false (with
   /// budget_exhausted_ set and nodes_ on the multiple where the check
-  /// fired) when the budget runs out on the way.
+  /// fired) when the budget runs out on the way. The node budget stops on
+  /// the first crossed multiple >= max_nodes, as a per-multiple check
+  /// would; the clock is read once, and an expired deadline stops on the
+  /// first crossed multiple.
   bool CountNodes(std::size_t count) {
     const std::size_t target = nodes_ + count;
-    for (std::size_t at = (nodes_ / kCheckEvery + 1) * kCheckEvery;
-         at <= target; at += kCheckEvery) {
-      if ((options_.max_nodes != 0 && at >= options_.max_nodes) ||
-          deadline_.Expired()) {
-        nodes_ = at;
-        budget_exhausted_ = true;
-        return false;
-      }
+    const std::size_t first = (nodes_ / kCheckEvery + 1) * kCheckEvery;
+    if (first > target) {
+      nodes_ = target;
+      return true;
+    }
+    std::size_t stop = target + 1;  // no node-budget stop in this run
+    if (options_.max_nodes != 0) {
+      stop = std::max(first, (options_.max_nodes + kCheckEvery - 1) /
+                                 kCheckEvery * kCheckEvery);
+    }
+    if (stop != first && deadline_.Expired()) stop = first;
+    if (stop <= target) {
+      nodes_ = stop;
+      budget_exhausted_ = true;
+      return false;
     }
     nodes_ = target;
+    return true;
+  }
+
+  /// Credits the node count the memo holds for state (depth, image), if
+  /// any; true when it did.
+  bool Replay(std::uint64_t key, std::size_t depth,
+              const std::uint64_t* image) {
+    const std::size_t stored = memo_.Find(key, depth, image);
+    if (stored == 0) return false;
+    const std::size_t before = nodes_;
+    stopped_in_replay_ = !CountNodes(stored);
+    replayed_nodes_ += nodes_ - before;
     return true;
   }
 
@@ -500,6 +532,16 @@ class Search {
         const Rect& rect = set.rects[j];
         Occupy(rect, used, next);
         if (Barren(depth, next)) continue;
+        // Only inner states are memoized (a full assignment never fails).
+        // A replay skips the live-set updates too.
+        const bool inner = depth + 1 < order_.size();
+        const std::uint64_t key =
+            inner ? TranspositionTable::Hash(depth + 1, next, mask_words_)
+                  : 0;
+        if (inner && Replay(key, depth + 1, next)) {
+          if (budget_exhausted_) return false;
+          continue;
+        }
         chosen_[region] = rect;
         std::int64_t* next_consumed =
             consumed_stack_.data() + (depth + 1) * kinds_;
@@ -513,8 +555,10 @@ class Search {
           domains_[domain_of_[d2]].Restrict(live + live_offset_[d2], rect,
                                             live_next + live_offset_[d2]);
         }
+        const std::size_t before = nodes_;
         if (Dfs(depth + 1, used_cells + rect.Area())) return true;
         if (budget_exhausted_) return false;
+        if (inner) memo_.Store(key, depth + 1, next, nodes_ - before);
       }
     }
     CountNodes(set.rects.size() - counted);
@@ -547,6 +591,14 @@ class Search {
   std::vector<std::uint64_t> pass_;  ///< pass set of depth d at live_offset_[d]
   std::size_t nodes_ = 0;
   bool budget_exhausted_ = false;
+  TranspositionTable& memo_ = ThreadTable();
+  std::size_t replayed_nodes_ = 0;
+  bool stopped_in_replay_ = false;
+
+  static TranspositionTable& ThreadTable() {
+    thread_local TranspositionTable table;
+    return table;
+  }
 };
 
 }  // namespace
@@ -562,48 +614,129 @@ std::vector<std::size_t> CanonicalRegionOrder(
   return order;
 }
 
-std::vector<Rect> EnumeratePrunedPlacements(const Fabric& fabric,
-                                            const ResourceVec& req,
-                                            std::size_t max_placements) {
-  std::vector<Rect> placements =
-      EnumerateFeasiblePlacements(fabric, req, max_placements);
-  PruneDominated(fabric, placements);
-  return placements;
-}
-
-PlacementSet BuildPlacementSet(const Fabric& fabric, std::vector<Rect> rects) {
-  PlacementSet set;
+PlacementSet EnumeratePrunedPlacementSet(const Fabric& fabric,
+                                         const ResourceVec& req,
+                                         std::size_t max_placements) {
+  const std::size_t rows = fabric.Rows();
   const std::size_t cols = fabric.Columns();
   const std::size_t kinds = fabric.Capacity().size();
-  set.rects = std::move(rects);
-  set.union_mask.assign(timeline::WordsFor(cols * fabric.Rows()), 0);
-  set.rect_res.reserve(set.rects.size() * kinds);
-  set.min_area = cols * fabric.Rows();
+  std::array<const std::int64_t*, kMaxResourceKinds> prefix{};
+  for (std::size_t k = 0; k < kinds; ++k) prefix[k] = fabric.KindPrefix(k);
+
+  // The grid: end_of[(h - 1) * cols + c] = E[h][c], the least exclusive
+  // end column e > c for which columns [c, e) over h rows cover `req`.
+  // Dropping a leading column never adds resources, so E[h][.] is
+  // non-decreasing and its defined entries form a prefix of
+  // feasible_cols[h - 1] start columns; adding a row never removes any,
+  // so E[.][c] is non-increasing. One two-pointer pass per height.
+  std::vector<std::size_t> end_of(rows * cols, 0);
+  std::vector<std::size_t> feasible_cols(rows, 0);
+  for (std::size_t h = 1; h <= rows; ++h) {
+    const auto height = static_cast<std::int64_t>(h);
+    const auto covers = [&](std::size_t c, std::size_t e) {
+      for (std::size_t k = 0; k < kinds; ++k) {
+        if (req[k] > height * (prefix[k][e] - prefix[k][c])) return false;
+      }
+      return true;
+    };
+    std::size_t* row_ends = end_of.data() + (h - 1) * cols;
+    std::size_t e = 0;
+    std::size_t c = 0;
+    for (; c < cols; ++c) {
+      e = std::max(e, c + 1);
+      while (e <= cols && !covers(c, e)) ++e;
+      if (e > cols) break;
+      row_ends[c] = e;
+    }
+    feasible_cols[h - 1] = c;
+  }
+
+  // EnumerateFeasiblePlacements emits (c, r, h) for every defined E[h][c]
+  // in (h, c, r) order, the first max_placements of them. Candidate
+  // (c, r, h) strictly contains another emitted candidate iff
+  //   * E[h - 1][c] == E[h][c]: (c, r, h - 1) has the same columns, one
+  //     row fewer, and precedes it; or
+  //   * E[h][c + 1] == E[h][c] and (c + 1, r, h) is emitted: the same rows,
+  //     one column fewer.
+  // Any other contained rectangle would start at c' >= c and end at
+  // E[h'][c'] >= E[h - 1][c] > E[h][c] (h' < h) or at E[h][c'] > E[h][c]
+  // (h' = h, c' > c + 1 past the run of equal ends). So per (h, c) the
+  // survivors are one run of rows [row_begin, row_end).
+  struct GridRun {
+    std::size_t height, col0, end, row_begin, row_end;
+  };
+  std::vector<GridRun> runs;
+  runs.reserve(rows * cols);
+  const std::size_t limit = max_placements == 0 ? SIZE_MAX : max_placements;
+  // Rows of the (c, ., h) block at enumeration index `index` under the cap.
+  const auto capped_rows = [limit](std::size_t index, std::size_t choices) {
+    return index >= limit ? std::size_t{0} : std::min(choices, limit - index);
+  };
+  std::size_t kept = 0;
+  std::size_t first = 0;  // enumeration index of (c, 0, h)
+  for (std::size_t h = 1; h <= rows && first < limit; ++h) {
+    const std::size_t row_choices = rows - h + 1;
+    const std::size_t* row_ends = end_of.data() + (h - 1) * cols;
+    const std::size_t* shorter =
+        h > 1 ? end_of.data() + (h - 2) * cols : nullptr;
+    for (std::size_t c = 0; c < feasible_cols[h - 1] && first < limit;
+         ++c, first += row_choices) {
+      const std::size_t e = row_ends[c];
+      if (h > 1 && c < feasible_cols[h - 2] && shorter[c] == e) continue;
+      const std::size_t row_end = capped_rows(first, row_choices);
+      const std::size_t row_begin =
+          c + 1 < feasible_cols[h - 1] && row_ends[c + 1] == e
+              ? capped_rows(first + row_choices, row_choices)
+              : 0;
+      if (row_begin >= row_end) continue;
+      runs.push_back(GridRun{h, c, e, row_begin, row_end});
+      kept += row_end - row_begin;
+    }
+  }
+
+  // Emit the survivors in enumeration order. Every row of one (h, c)
+  // shares its footprint, and the union mask is a per-row column
+  // coverage count (+1 at a run's first column, -1 past its last).
+  PlacementSet set;
+  set.rects.reserve(kept);
+  set.rect_res.reserve(kept * kinds);
   set.min_res = fabric.Capacity();
-  for (const Rect& r : set.rects) {
-    for (std::size_t row = r.row0; row < r.row0 + r.height; ++row) {
-      const std::size_t base = row * cols + r.col0;
-      timeline::RangeSet(set.union_mask.data(), base, base + r.width);
+  set.min_area = cols * rows;
+  std::vector<std::int32_t> cover(rows * (cols + 1), 0);
+  std::array<std::int64_t, kMaxResourceKinds> footprint{};
+  for (const GridRun& run : runs) {
+    const std::size_t width = run.end - run.col0;
+    for (std::size_t k = 0; k < kinds; ++k) {
+      footprint[k] = static_cast<std::int64_t>(run.height) *
+                     (prefix[k][run.end] - prefix[k][run.col0]);
+      set.min_res[k] = std::min(set.min_res[k], footprint[k]);
     }
-    const ResourceVec res = fabric.RectResources(r.col0, r.width, r.height);
-    for (std::size_t kind = 0; kind < kinds; ++kind) {
-      set.min_res[kind] = std::min(set.min_res[kind], res[kind]);
-      set.rect_res.push_back(res[kind]);
+    set.min_area = std::min(set.min_area, width * run.height);
+    for (std::size_t r = run.row_begin; r < run.row_end; ++r) {
+      set.rects.push_back(Rect{run.col0, r, width, run.height});
+      set.rect_res.insert(
+          set.rect_res.end(), footprint.begin(),
+          footprint.begin() + static_cast<std::ptrdiff_t>(kinds));
     }
-    set.min_area = std::min(set.min_area, r.Area());
+    for (std::size_t row = run.row_begin; row < run.row_end - 1 + run.height;
+         ++row) {
+      ++cover[row * (cols + 1) + run.col0];
+      --cover[row * (cols + 1) + run.end];
+    }
+  }
+  set.union_mask.assign(timeline::WordsFor(cols * rows), 0);
+  for (std::size_t row = 0; row < rows; ++row) {
+    std::int32_t depth = 0;
+    for (std::size_t c = 0; c < cols; ++c) {
+      depth += cover[row * (cols + 1) + c];
+      if (depth > 0) SetBit(set.union_mask.data(), row * cols + c);
+    }
   }
   if (set.rects.empty()) {
     set.min_res = fabric.Model().ZeroVec();
     set.min_area = 0;
   }
   return set;
-}
-
-PlacementSet EnumeratePrunedPlacementSet(const Fabric& fabric,
-                                         const ResourceVec& req,
-                                         std::size_t max_placements) {
-  return BuildPlacementSet(
-      fabric, EnumeratePrunedPlacements(fabric, req, max_placements));
 }
 
 FloorplanResult SolveFloorplanFeasibility(
@@ -615,6 +748,8 @@ FloorplanResult SolveFloorplanFeasibility(
   const bool ok =
       search.Run(solution, result.budget_exhausted, result.nodes_explored);
   result.feasible = ok;
+  result.replayed_nodes = search.ReplayedNodes();
+  result.stopped_in_replay = search.StoppedInReplay();
   if (ok) result.rects = std::move(solution);
   return result;
 }
@@ -665,6 +800,8 @@ FloorplanResult FindFloorplan(const FpgaDevice& device,
   result.feasible = canonical.feasible;
   result.budget_exhausted = canonical.budget_exhausted;
   result.nodes_explored = canonical.nodes_explored;
+  result.replayed_nodes = canonical.replayed_nodes;
+  result.stopped_in_replay = canonical.stopped_in_replay;
   if (canonical.feasible) {
     result.rects.resize(regions.size());
     for (std::size_t k = 0; k < order.size(); ++k) {
@@ -792,14 +929,15 @@ CompactFloorplanResult FindCompactFloorplan(
     return result;
   }
   std::vector<std::vector<Rect>> candidates;
+  candidates.reserve(regions.size());
   for (const ResourceVec& req : regions) {
-    std::vector<Rect> placements = EnumeratePrunedPlacements(
+    PlacementSet placements = EnumeratePrunedPlacementSet(
         fabric, req, options.max_placements_per_region);
-    if (placements.empty()) {
+    if (placements.rects.empty()) {
       result.seconds = timer.ElapsedSeconds();
       return result;
     }
-    candidates.push_back(std::move(placements));
+    candidates.push_back(std::move(placements.rects));
   }
   CompactSearch search(std::move(candidates), options);
   std::vector<Rect> solution;

@@ -43,6 +43,11 @@ struct FloorplanResult {
   /// One rectangle per region (same order as the query) when feasible.
   std::vector<Rect> rects;
   std::size_t nodes_explored = 0;
+  /// Part of nodes_explored credited by replaying failed subtrees from
+  /// the transposition memo instead of searching them.
+  std::size_t replayed_nodes = 0;
+  /// True when the budget stop fell inside such a replay.
+  bool stopped_in_replay = false;
   double seconds = 0.0;
 };
 
@@ -59,6 +64,10 @@ struct FloorplanCacheStats {
   /// DFS nodes explored by cache-miss solves (budget-bounded work the
   /// cache could not avoid).
   std::uint64_t solve_nodes = 0;
+  /// Cache-miss solves that stopped on their node or time budget.
+  std::uint64_t budget_exhausted = 0;
+  /// Part of solve_nodes credited by transposition replays.
+  std::uint64_t replayed_nodes = 0;
 
   double HitRate() const {
     return queries == 0 ? 0.0
@@ -77,6 +86,8 @@ struct FloorplanCacheStats {
     d.catalog_hits = catalog_hits - earlier.catalog_hits;
     d.catalog_misses = catalog_misses - earlier.catalog_misses;
     d.solve_nodes = solve_nodes - earlier.solve_nodes;
+    d.budget_exhausted = budget_exhausted - earlier.budget_exhausted;
+    d.replayed_nodes = replayed_nodes - earlier.replayed_nodes;
     return d;
   }
 };
@@ -91,14 +102,6 @@ FloorplanResult FindFloorplan(const FpgaDevice& device,
 /// the same multiset map to the same canonical sequence.
 std::vector<std::size_t> CanonicalRegionOrder(
     const std::vector<ResourceVec>& regions);
-
-/// Candidate enumeration + dominance pruning for one requirement — the
-/// unit the PlacementCatalog memoizes. A placement is dropped iff it
-/// strictly contains another enumerated placement; survivors keep their
-/// enumeration order.
-std::vector<Rect> EnumeratePrunedPlacements(const Fabric& fabric,
-                                            const ResourceVec& req,
-                                            std::size_t max_placements);
 
 /// A region's candidate list plus what the DFS reads about it. Built once
 /// per catalog entry and shared by every query; per-query search tables
@@ -127,10 +130,13 @@ struct PlacementSet {
   }
 };
 
-/// Builds the PlacementSet of `rects` on `fabric`.
-PlacementSet BuildPlacementSet(const Fabric& fabric, std::vector<Rect> rects);
-
-/// EnumeratePrunedPlacements + BuildPlacementSet in one call.
+/// Candidate enumeration + dominance pruning for one requirement — the
+/// unit the PlacementCatalog memoizes. `rects` is
+/// EnumerateFeasiblePlacements(fabric, req, max_placements) minus every
+/// placement that strictly contains another one of that list, in
+/// enumeration order; the other fields are derived from those rects.
+/// Built on the (height, start column) grid of minimal end columns, not
+/// rectangle by rectangle (DESIGN.md §13).
 PlacementSet EnumeratePrunedPlacementSet(const Fabric& fabric,
                                          const ResourceVec& req,
                                          std::size_t max_placements);
@@ -138,21 +144,28 @@ PlacementSet EnumeratePrunedPlacementSet(const Fabric& fabric,
 /// Backtracking engine under FindFloorplan and FloorplanCache: solves the
 /// pairwise non-overlap selection over externally owned per-region
 /// candidate lists (one pointer per region, all non-null and non-empty,
-/// each built by BuildPlacementSet on `fabric`). `result.rects` is indexed
-/// like `candidates`. Deterministic: depends only on the candidate lists,
-/// their order and the budget options — not on wall-clock time unless the
-/// time budget fires.
+/// each built by EnumeratePrunedPlacementSet on `fabric`). `result.rects`
+/// is indexed like `candidates`. Deterministic: depends only on the
+/// candidate lists, their order and the budget options — not on
+/// wall-clock time unless the time budget fires.
 ///
 /// Regions are searched fewest-candidates-first; each region's candidates
 /// in catalog order. Every candidate tried counts one node in
 /// `nodes_explored`, and the node/time budget is checked at every 1024th
 /// node. The search keeps bitset domains per query (see DESIGN.md §13) so
-/// that pruned candidates cost a word operation, not a scan step; the
-/// nodes it reports are still those of the one-at-a-time scan.
+/// that pruned candidates cost a word operation, not a scan step, and
+/// replays the node count of a subtree it already failed from the same
+/// (depth, occupancy) state instead of searching it again; the nodes it
+/// reports are still those of the one-at-a-time scan.
 FloorplanResult SolveFloorplanFeasibility(
     const Fabric& fabric,
     const std::vector<const PlacementSet*>& candidates,
     const FloorplanOptions& options);
+
+/// Entries of the per-thread failed-subtree memo SolveFloorplanFeasibility
+/// replays from (DESIGN.md §13); a query that fails more distinct states
+/// keeps the first ones it stores and searches the rest.
+inline constexpr std::size_t kFloorplanMemoSlots = 4096;
 
 /// Optimizing variant: among floorplans found within the budget, keeps the
 /// one occupying the fewest grid cells (the compactness objective of the

@@ -502,6 +502,20 @@ FloorplanCache* RescheddServer::PoolFor(const Request& request) {
   return it->second.cache.get();
 }
 
+FloorplanCacheStats RescheddServer::FloorplanPoolStats() {
+  FloorplanCacheStats sum;
+  MutexLock lock(pool_mu_);
+  for (const auto& [key, entry] : floorplan_pool_) {
+    const FloorplanCacheStats s = entry.cache->Stats();
+    sum.queries += s.queries;
+    sum.hits += s.hits;
+    sum.solve_nodes += s.solve_nodes;
+    sum.budget_exhausted += s.budget_exhausted;
+    sum.replayed_nodes += s.replayed_nodes;
+  }
+  return sum;
+}
+
 Schedule RescheddServer::ComputeSchedule(const Request& request,
                                          const CancelToken& token,
                                          WarmSlot& warm,
@@ -699,6 +713,16 @@ std::string RescheddServer::StatsBody() {
     MutexLock lock(pool_mu_);
     body["floorplan_caches"] = floorplan_pool_.size();
   }
+  {
+    const FloorplanCacheStats fp = FloorplanPoolStats();
+    JsonObject floorplan;
+    floorplan["queries"] = AsInt64(fp.queries);
+    floorplan["hits"] = AsInt64(fp.hits);
+    floorplan["solve_nodes"] = AsInt64(fp.solve_nodes);
+    floorplan["budget_exhausted"] = AsInt64(fp.budget_exhausted);
+    floorplan["replayed_nodes"] = AsInt64(fp.replayed_nodes);
+    body["floorplan"] = JsonValue(std::move(floorplan));
+  }
 
   // Per-tenant section: admission outcomes, served-by breakdown and
   // queue-wait / service-time quantiles (exact when sample recording is
@@ -861,6 +885,28 @@ std::vector<MetricFamily> RescheddServer::BuildMetricFamilies() {
   add_event("rejected_shutting_down", c.rejected_shutting_down);
   add_event("journal_errors", c.journal_errors);
   families.push_back(std::move(requests));
+
+  const FloorplanCacheStats fp = FloorplanPoolStats();
+  const auto add_floorplan = [&families](const char* name, const char* help,
+                                         std::uint64_t v) {
+    MetricFamily family{name, help, "counter", {}};
+    family.samples.push_back(MetricSample{{}, static_cast<double>(v)});
+    families.push_back(std::move(family));
+  };
+  add_floorplan("reschedd_floorplan_queries_total",
+                "Floorplan feasibility queries across the cache pool.",
+                fp.queries);
+  add_floorplan("reschedd_floorplan_hits_total",
+                "Floorplan queries answered from the verdict memo.", fp.hits);
+  add_floorplan("reschedd_floorplan_solve_nodes_total",
+                "DFS nodes spent by floorplan cache-miss solves.",
+                fp.solve_nodes);
+  add_floorplan("reschedd_floorplan_budget_exhausted_total",
+                "Floorplan solves stopped by their node or time budget.",
+                fp.budget_exhausted);
+  add_floorplan("reschedd_floorplan_replayed_nodes_total",
+                "DFS nodes credited by replaying memoized failed subtrees.",
+                fp.replayed_nodes);
 
   MetricFamily depth{"reschedd_queue_depth",
                      "Currently queued requests per tenant.", "gauge", {}};

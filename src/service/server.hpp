@@ -32,6 +32,7 @@
 #include <thread>
 #include <vector>
 
+#include "floorplan/floorplanner.hpp"
 #include "service/fair_queue.hpp"
 #include "service/journal.hpp"
 #include "service/metrics_export.hpp"
@@ -212,6 +213,9 @@ class RescheddServer {
                            WarmSlot& warm, std::size_t& iterations);
   std::string StatsBody() RESCHED_EXCLUDES(pool_mu_, tenants_mu_);
   FloorplanCache* PoolFor(const Request& request) RESCHED_EXCLUDES(pool_mu_);
+  /// Query, hit, solve-node, budget-exhausted and replayed-node counters
+  /// of every pooled floorplan cache, summed (the other fields stay 0).
+  FloorplanCacheStats FloorplanPoolStats() RESCHED_EXCLUDES(pool_mu_);
   /// Finds (or creates) the stats slot for `tenant`.
   TenantStats& TenantStatsFor(const std::string& tenant)
       RESCHED_EXCLUDES(tenants_mu_);
@@ -220,7 +224,7 @@ class RescheddServer {
   /// interpolation otherwise.
   void QueueWaitQuantiles(TenantStats& stats, double& p50, double& p99);
   std::vector<MetricFamily> BuildMetricFamilies()
-      RESCHED_EXCLUDES(tenants_mu_);
+      RESCHED_EXCLUDES(pool_mu_, tenants_mu_);
   void WriteMetricsNow();
   void MetricsLoop() RESCHED_EXCLUDES(metrics_mu_);
   /// `served` tags the journaled response record with where the body came

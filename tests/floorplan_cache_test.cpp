@@ -240,9 +240,26 @@ TEST(FloorplanCacheTest, BudgetExhaustedIsNeverProvenInfeasible) {
 
   // The stronger (proven) verdict overwrote the exhausted one and now
   // serves the unlimited query from the memo.
+  const FloorplanCacheStats before_hit = cache.Stats();
   const auto after = cache.Query(regions, unlimited);
   EXPECT_EQ(after.feasible, truth.feasible);
   EXPECT_FALSE(after.budget_exhausted);
+
+  // Two solves ran: the starved one burned its budget, and the proof's
+  // replayed transpositions are part of its nodes. A memo hit adds none.
+  const FloorplanCacheStats stats = cache.Stats();
+  EXPECT_EQ(stats.budget_exhausted, 1u);
+  EXPECT_EQ(stats.solve_nodes, starved.nodes_explored + truth.nodes_explored);
+  EXPECT_EQ(stats.replayed_nodes,
+            starved.replayed_nodes + solved.replayed_nodes);
+  EXPECT_EQ(solved.replayed_nodes, truth.replayed_nodes);
+  EXPECT_GT(stats.replayed_nodes, 0u);
+  const FloorplanCacheStats delta = stats.Since(before_hit);
+  EXPECT_EQ(delta.hits, 1u);
+  EXPECT_EQ(delta.budget_exhausted, 0u);
+  EXPECT_EQ(delta.solve_nodes, 0u);
+  EXPECT_EQ(delta.replayed_nodes, 0u);
+  EXPECT_EQ(stats.Since(FloorplanCacheStats{}).budget_exhausted, 1u);
 }
 
 TEST(FloorplanCacheTest, PlacementCatalogIsShared) {
@@ -254,7 +271,8 @@ TEST(FloorplanCacheTest, PlacementCatalogIsShared) {
   ASSERT_NE(first, nullptr);
   EXPECT_EQ(first.get(), second.get());  // same memoized object
   const Fabric fabric(device);
-  const std::vector<Rect> direct = EnumeratePrunedPlacements(fabric, req, 4096);
+  const PlacementSet rebuilt = EnumeratePrunedPlacementSet(fabric, req, 4096);
+  const std::vector<Rect>& direct = rebuilt.rects;
   ASSERT_EQ(first->rects.size(), direct.size());
   for (std::size_t i = 0; i < direct.size(); ++i) {
     EXPECT_EQ(first->rects[i].col0, direct[i].col0);
@@ -262,8 +280,7 @@ TEST(FloorplanCacheTest, PlacementCatalogIsShared) {
     EXPECT_EQ(first->rects[i].width, direct[i].width);
     EXPECT_EQ(first->rects[i].height, direct[i].height);
   }
-  // The entry carries exactly what a fresh build derives from the rects.
-  const PlacementSet rebuilt = BuildPlacementSet(fabric, direct);
+  // The entry carries exactly what a fresh build derives.
   EXPECT_EQ(first->rect_res, rebuilt.rect_res);
   EXPECT_EQ(first->min_res, rebuilt.min_res);
   EXPECT_EQ(first->union_mask, rebuilt.union_mask);

@@ -6,6 +6,7 @@
 #include <bit>
 #include <map>
 #include <numeric>
+#include <set>
 
 #include "core/pa_scheduler.hpp"
 #include "floorplan/floorplan_cache.hpp"
@@ -249,26 +250,58 @@ TEST(FloorplannerTest, ResultRectsMatchRegionOrder) {
 // Production must match them exactly: catalogs, verdicts, rectangles and
 // node counts, budget stops included.
 
-/// Drops every placement that strictly contains another one.
-std::vector<Rect> OraclePruneDominated(const std::vector<Rect>& placements) {
+/// For each placement, the index of the first other placement of the
+/// list that it strictly contains (the list size when there is none), by
+/// pairwise comparison. The pruned form of a prefix of the list keeps
+/// placement i iff that index lies past the prefix.
+std::vector<std::size_t> OracleFirstContained(
+    const std::vector<Rect>& placements) {
   auto contains = [](const Rect& outer, const Rect& inner) {
     return outer.col0 <= inner.col0 && outer.row0 <= inner.row0 &&
            outer.col0 + outer.width >= inner.col0 + inner.width &&
            outer.row0 + outer.height >= inner.row0 + inner.height &&
            outer.Area() > inner.Area();
   };
-  std::vector<Rect> kept;
-  for (const Rect& cand : placements) {
-    bool dominated = false;
-    for (const Rect& other : placements) {
-      if (contains(cand, other)) {
-        dominated = true;
+  std::vector<std::size_t> first(placements.size(), placements.size());
+  for (std::size_t i = 0; i < placements.size(); ++i) {
+    for (std::size_t j = 0; j < placements.size(); ++j) {
+      if (contains(placements[i], placements[j])) {
+        first[i] = j;
         break;
       }
     }
-    if (!dominated) kept.push_back(cand);
   }
-  return kept;
+  return first;
+}
+
+/// What a catalog entry must carry for `rects`, derived rectangle by
+/// rectangle: per-rect footprints, their componentwise minimum, the
+/// minimal area and the union of covered cells.
+PlacementSet OraclePlacementSet(const Fabric& fabric,
+                                const std::vector<Rect>& rects) {
+  PlacementSet set;
+  const std::size_t cols = fabric.Columns();
+  set.rects = rects;
+  set.union_mask.assign(timeline::WordsFor(cols * fabric.Rows()), 0);
+  set.min_area = cols * fabric.Rows();
+  set.min_res = fabric.Capacity();
+  for (const Rect& r : rects) {
+    for (std::size_t row = r.row0; row < r.row0 + r.height; ++row) {
+      const std::size_t base = row * cols + r.col0;
+      timeline::RangeSet(set.union_mask.data(), base, base + r.width);
+    }
+    const ResourceVec res = fabric.RectResources(r.col0, r.width, r.height);
+    for (std::size_t k = 0; k < res.size(); ++k) {
+      set.min_res[k] = std::min(set.min_res[k], res[k]);
+      set.rect_res.push_back(res[k]);
+    }
+    set.min_area = std::min(set.min_area, r.Area());
+  }
+  if (rects.empty()) {
+    set.min_res = fabric.Model().ZeroVec();
+    set.min_area = 0;
+  }
+  return set;
 }
 
 /// The scan DFS: each candidate costs one `++nodes`, the budget is checked
@@ -321,6 +354,10 @@ class ScanSearch {
     if (result.feasible) result.rects = chosen_;
     return result;
   }
+
+  /// Records up to `limit` distinct failed (depth, occupancy) states.
+  void TrackFailedStates(std::size_t limit) { failed_limit_ = limit; }
+  std::size_t DistinctFailedStates() const { return failed_.size(); }
 
  private:
   bool Dfs(std::size_t depth, std::size_t used_cells) {
@@ -375,6 +412,13 @@ class ScanSearch {
       if (Dfs(depth + 1, used_cells + rect.Area())) return true;
       if (exhausted_) return false;
     }
+    // A fully searched, failed subtree below the root: the kind of state
+    // the production search memoizes.
+    if (depth > 0 && failed_.size() < failed_limit_) {
+      std::vector<std::uint64_t> key{depth};
+      key.insert(key.end(), used, used + mask_words_);
+      failed_.insert(std::move(key));
+    }
     return false;
   }
 
@@ -393,6 +437,8 @@ class ScanSearch {
   std::vector<std::uint64_t> used_;
   std::size_t nodes_ = 0;
   bool exhausted_ = false;
+  std::size_t failed_limit_ = 0;
+  std::set<std::vector<std::uint64_t>> failed_;
 };
 
 bool SameRect(const Rect& a, const Rect& b) {
@@ -460,6 +506,25 @@ void PrintTo(const FabricCase& fabric_case, std::ostream* os) {
 
 class CatalogOracleTest : public ::testing::TestWithParam<FabricCase> {};
 
+/// Caps that end a list inside a same-height run: part-way through the
+/// rows of the second and of the last start column of each height with
+/// more than one row choice, so a candidate whose one-column-narrower
+/// neighbour is cut off must survive.
+std::vector<std::size_t> RunCuttingCaps(const std::vector<Rect>& raw,
+                                        std::size_t rows) {
+  std::vector<std::size_t> caps;
+  for (std::size_t i = 0; i < raw.size(); ++i) {
+    const std::size_t h = raw[i].height;
+    const std::size_t choices = rows - h + 1;
+    if (choices < 2 || (i > 0 && raw[i - 1].height == h)) continue;
+    std::size_t end = i;
+    while (end < raw.size() && raw[end].height == h) ++end;
+    if (end - i >= 2 * choices) caps.push_back(i + choices + 1);
+    if (end - i >= choices + 1) caps.push_back(end - choices + 1);
+  }
+  return caps;
+}
+
 TEST_P(CatalogOracleTest, MatchesQuadraticPruneAtEveryCap) {
   std::vector<ResourceVec> reqs;
   for (const auto& query : ZedSuiteQueries()) {
@@ -475,25 +540,40 @@ TEST_P(CatalogOracleTest, MatchesQuadraticPruneAtEveryCap) {
   const FpgaDevice device = GetParam().make();
   const Fabric fabric(device);
   std::size_t pruned_some = 0;
+  std::size_t run_cuts = 0;
   for (const ResourceVec& req : reqs) {
-    std::vector<Rect> last_raw;
-    std::vector<Rect> want;
-    for (const std::size_t cap : {std::size_t{0}, std::size_t{4096},
-                                  std::size_t{100}, std::size_t{37}}) {
+    const std::vector<Rect> full = EnumerateFeasiblePlacements(fabric, req, 0);
+    const std::vector<std::size_t> first_contained =
+        OracleFirstContained(full);
+    std::vector<std::size_t> caps{0, 4096, 100, 37};
+    const std::vector<std::size_t> cuts =
+        RunCuttingCaps(full, fabric.Rows());
+    caps.insert(caps.end(), cuts.begin(), cuts.end());
+    run_cuts += cuts.size();
+    for (const std::size_t cap : caps) {
       const std::vector<Rect> raw =
           EnumerateFeasiblePlacements(fabric, req, cap);
-      // A cap above the raw count changes nothing: reuse the oracle.
-      if (!SameRects(raw, last_raw)) want = OraclePruneDominated(raw);
-      const std::vector<Rect> got =
-          EnumeratePrunedPlacements(fabric, req, cap);
-      ASSERT_TRUE(SameRects(got, want))
+      // A capped list is a prefix of the full one.
+      ASSERT_LE(raw.size(), full.size());
+      ASSERT_TRUE(std::equal(raw.begin(), raw.end(), full.begin(), SameRect));
+      std::vector<Rect> want;
+      for (std::size_t i = 0; i < raw.size(); ++i) {
+        if (first_contained[i] >= raw.size()) want.push_back(raw[i]);
+      }
+      const PlacementSet got = EnumeratePrunedPlacementSet(fabric, req, cap);
+      ASSERT_TRUE(SameRects(got.rects, want))
           << device.Name() << " cap " << cap << " req " << req.ToString()
-          << ": " << got.size() << " kept vs oracle " << want.size();
+          << ": " << got.rects.size() << " kept vs oracle " << want.size();
+      const PlacementSet derived = OraclePlacementSet(fabric, want);
+      ASSERT_EQ(got.rect_res, derived.rect_res) << "cap " << cap;
+      ASSERT_EQ(got.min_res, derived.min_res) << "cap " << cap;
+      ASSERT_EQ(got.min_area, derived.min_area) << "cap " << cap;
+      ASSERT_EQ(got.union_mask, derived.union_mask) << "cap " << cap;
       if (want.size() < raw.size()) ++pruned_some;
-      last_raw = raw;
     }
   }
   EXPECT_GT(pruned_some, reqs.size());  // the prune really prunes
+  EXPECT_GT(run_cuts, reqs.size());     // and the cut caps really cut
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -511,8 +591,10 @@ TEST(FloorplanOracleTest, DfsMatchesScanSearchAtEveryBudget) {
   FloorplanCache catalog(device);
   const Fabric& fabric = catalog.fabric();
   std::map<std::size_t, std::size_t> exhausted_at;
+  std::map<std::size_t, std::size_t> stopped_in_replay_at;
   std::size_t feasible = 0;
   std::size_t searched = 0;
+  std::size_t replayed = 0;
   for (const auto& query : ZedSuiteQueries()) {
     std::vector<std::shared_ptr<const PlacementSet>> owned;
     std::vector<const PlacementSet*> sets;
@@ -539,10 +621,21 @@ TEST(FloorplanOracleTest, DfsMatchesScanSearchAtEveryBudget) {
           << "budget " << budget;
       ASSERT_EQ(got.nodes_explored, want.nodes_explored) << "budget " << budget;
       ASSERT_TRUE(SameRects(got.rects, want.rects)) << "budget " << budget;
+      ASSERT_LE(got.replayed_nodes, got.nodes_explored);
+      ASSERT_TRUE(!got.stopped_in_replay || got.budget_exhausted);
       if (got.budget_exhausted) ++exhausted_at[budget];
+      if (got.stopped_in_replay) ++stopped_in_replay_at[budget];
       if (got.feasible) ++feasible;
       if (got.nodes_explored > 0) ++searched;
+      replayed += got.replayed_nodes;
     }
+  }
+  // Transposition replays fired, and budget stops landed inside replayed
+  // subtrees, where only exact bulk accounting keeps the stop node.
+  EXPECT_GT(replayed, 0u);
+  for (const std::size_t budget :
+       {std::size_t{3000}, std::size_t{100'000}, std::size_t{2'000'000}}) {
+    EXPECT_GT(stopped_in_replay_at[budget], 0u) << "budget " << budget;
   }
   // The sample must exercise every outcome: budget stops at each budget,
   // found floorplans and searches that ran.
@@ -553,6 +646,93 @@ TEST(FloorplanOracleTest, DfsMatchesScanSearchAtEveryBudget) {
   }
   EXPECT_GT(feasible, 0u);
   EXPECT_GT(searched, 0u);
+}
+
+/// Test fabric of `rows` rows whose columns read left to right from
+/// `layout`: 'C' a CLB column (100 per cell), 'D' a DSP column (20).
+FpgaDevice MakeStripDevice(const std::string& layout, std::size_t rows) {
+  FabricGeometry geom;
+  geom.rows = rows;
+  for (const char kind : layout) {
+    geom.columns.push_back(kind == 'D' ? ColumnSpec{2, 20}
+                                       : ColumnSpec{0, 100});
+  }
+  return FpgaDevice("strip", MakeClbBramDspModel(), std::move(geom));
+}
+
+/// Runs `sets` through SolveFloorplanFeasibility and the scan at budgets
+/// 1024 through 2M and requires the same verdict and node count; returns
+/// the 2M-budget result.
+FloorplanResult ExpectScanAtEveryBudget(
+    const Fabric& fabric, const std::vector<const PlacementSet*>& sets) {
+  FloorplanResult last;
+  for (const std::size_t budget :
+       {std::size_t{1024}, std::size_t{1025}, std::size_t{3000},
+        std::size_t{100'000}, std::size_t{2'000'000}}) {
+    FloorplanOptions options;
+    options.time_budget_seconds = 0.0;
+    options.max_nodes = budget;
+    last = SolveFloorplanFeasibility(fabric, sets, options);
+    const FloorplanResult want = ScanSearch(fabric, sets, options).Run();
+    EXPECT_EQ(last.feasible, want.feasible) << "budget " << budget;
+    EXPECT_EQ(last.budget_exhausted, want.budget_exhausted)
+        << "budget " << budget;
+    EXPECT_EQ(last.nodes_explored, want.nodes_explored) << "budget " << budget;
+    EXPECT_TRUE(SameRects(last.rects, want.rects)) << "budget " << budget;
+  }
+  return last;
+}
+
+TEST(FloorplanOracleTest, TranspositionsReplayExactly) {
+  {
+    // Eleven identical regions share one candidate list, so placing X
+    // then Y and Y then X reach the same occupancy. The query is
+    // infeasible, yet no root bound proves it.
+    const FpgaDevice device = MakeStripDevice("DDCCCC", 6);
+    const Fabric fabric(device);
+    const PlacementSet set =
+        EnumeratePrunedPlacementSet(fabric, ResourceVec({200, 0, 20}), 4096);
+    ASSERT_FALSE(set.rects.empty());
+    const std::vector<const PlacementSet*> sets(11, &set);
+    const FloorplanResult proof = ExpectScanAtEveryBudget(fabric, sets);
+    EXPECT_FALSE(proof.feasible);
+    EXPECT_FALSE(proof.budget_exhausted);  // a full proof
+    EXPECT_GT(proof.nodes_explored, 10'000u);
+    EXPECT_GT(proof.replayed_nodes, proof.nodes_explored / 2);
+  }
+  {
+    // A suite query whose 2M-node search fails more distinct states than
+    // the memo holds: once the table is full the search runs on without
+    // storing, and still matches the scan.
+    const FpgaDevice device = MakeXc7z020();
+    FloorplanCache catalog(device);
+    bool found = false;
+    for (const auto& query : ZedSuiteQueries()) {
+      std::vector<std::shared_ptr<const PlacementSet>> owned;
+      std::vector<const PlacementSet*> sets;
+      for (const ResourceVec& req : query) {
+        owned.push_back(catalog.Placements(req, 4096));
+        sets.push_back(owned.back().get());
+      }
+      if (std::any_of(sets.begin(), sets.end(), [](const PlacementSet* s) {
+            return s->rects.empty();
+          })) {
+        continue;
+      }
+      FloorplanOptions options;
+      options.time_budget_seconds = 0.0;
+      ScanSearch scan(catalog.fabric(), sets, options);
+      scan.TrackFailedStates(kFloorplanMemoSlots + 1);
+      (void)scan.Run();
+      if (scan.DistinctFailedStates() <= kFloorplanMemoSlots) continue;
+      const FloorplanResult last =
+          ExpectScanAtEveryBudget(catalog.fabric(), sets);
+      EXPECT_GT(last.replayed_nodes, 0u);
+      found = true;
+      break;
+    }
+    EXPECT_TRUE(found);
+  }
 }
 
 TEST(FloorplanOracleTest, FindFloorplanMatchesScanSearch) {

@@ -550,6 +550,15 @@ TEST(RescheddServerTest, StatsReportCountersAndBuild) {
   EXPECT_FALSE(stats.At("build").GetString("version", "").empty());
   EXPECT_EQ(stats.GetInt("workers", -1), 1);
   EXPECT_TRUE(stats.Contains("result_cache"));
+  // The floorplan block sums the platform cache pool: the one PA solve
+  // asked at least one query, and no counter exceeds its parent.
+  ASSERT_TRUE(stats.Contains("floorplan")) << reply;
+  const JsonValue& fp = stats.At("floorplan");
+  EXPECT_GE(fp.GetInt("queries", -1), 1);
+  EXPECT_LE(fp.GetInt("hits", -1), fp.GetInt("queries", -1));
+  EXPECT_GE(fp.GetInt("solve_nodes", -1), 0);
+  EXPECT_LE(fp.GetInt("replayed_nodes", -1), fp.GetInt("solve_nodes", -1));
+  EXPECT_LE(fp.GetInt("budget_exhausted", -1), fp.GetInt("queries", -1));
 }
 
 // ---------------------------------------------------------------- journal --
@@ -1286,6 +1295,15 @@ TEST(RescheddServerTest, StatsReportPerTenantCountersAndMetricsWriter) {
           "tenant=\"gold\"} 3"),
       std::string::npos)
       << content;
+  EXPECT_NE(content.find("# TYPE reschedd_floorplan_queries_total counter"),
+            std::string::npos);
+  for (const char* name :
+       {"reschedd_floorplan_hits_total", "reschedd_floorplan_solve_nodes_total",
+        "reschedd_floorplan_budget_exhausted_total",
+        "reschedd_floorplan_replayed_nodes_total"}) {
+    EXPECT_NE(content.find(std::string("\n") + name + " "), std::string::npos)
+        << name;
+  }
   (void)::unlink(metrics_path.c_str());
 }
 
